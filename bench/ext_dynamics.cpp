@@ -16,7 +16,9 @@
 //     must you re-order?" answer).
 // A second pass times the incremental timestep against a full recompute
 // of the same frozen configuration; the median speedup is attached to
-// the JSON document ("dynamics") for the scripts/bench_to_json.py gate.
+// the JSON document ("dynamics") for the scripts/bench_to_json.py gate,
+// next to the median milliseconds of each side, so a change in the ratio
+// can be traced to the incremental step or to the recompute.
 #include <algorithm>
 #include <chrono>
 #include <sstream>
@@ -161,7 +163,7 @@ int main(int argc, char** argv) {
         dist::sample_particles<2>(study.distribution, cfg), study.level,
         *curve_impl, study.procs, dyn_opts, h.pool());
 
-    std::vector<double> speedups;
+    std::vector<double> speedups, incremental_ms, recompute_ms;
     speedups.reserve(study.steps);
     for (unsigned s = 0; s < study.steps; ++s) {
       const auto moves = core::drift_moves<2>(
@@ -187,14 +189,20 @@ int main(int argc, char** argv) {
         return 1;
       }
       if (t1 > t0) speedups.push_back((t2 - t1) / (t1 - t0));
+      incremental_ms.push_back((t1 - t0) * 1e3);
+      recompute_ms.push_back((t2 - t1) * 1e3);
     }
-    std::sort(speedups.begin(), speedups.end());
-    const double speedup_p50 =
-        speedups.empty() ? 0.0 : speedups[speedups.size() / 2];
+    const auto median = [](std::vector<double>& v) {
+      std::sort(v.begin(), v.end());
+      return v.empty() ? 0.0 : v[v.size() / 2];
+    };
+    const double speedup_p50 = median(speedups);
 
     std::ostringstream dyn_json;
     dyn_json.precision(17);
     dyn_json << "{\"speedup_p50\":" << speedup_p50
+             << ",\"incremental_ms_p50\":" << median(incremental_ms)
+             << ",\"recompute_ms_p50\":" << median(recompute_ms)
              << ",\"move_fraction\":" << study.move_fraction
              << ",\"steps\":" << study.steps
              << ",\"advisor_reorders\":" << reorders << "}";

@@ -4,6 +4,8 @@
 // bound how large a study a given machine can afford.
 #include <benchmark/benchmark.h>
 
+#include <chrono>
+
 #include "core/acd.hpp"
 #include "fmm/ffi.hpp"
 #include "fmm/nfi.hpp"
@@ -128,20 +130,60 @@ void BM_NfiDirect(benchmark::State& state, unsigned radius) {
                           static_cast<std::int64_t>(pairs));
 }
 
+/// One aggregated FFI pass (histograms + fold) of the acceptance
+/// scenario at `procs` ranks; returns the event count.
+std::uint64_t ffi_aggregated_pass(const fmm::Partition& part,
+                                  const topo::Topology& net) {
+  const auto totals = fmm::ffi_totals<2>(agg_instance().tree(), part, net);
+  benchmark::DoNotOptimize(totals);
+  return totals.total().count;
+}
+
 void BM_FfiAggregated(benchmark::State& state) {
-  const auto& instance = agg_instance();
-  const fmm::Partition part(instance.particles().size(), kAggProcs);
+  const fmm::Partition part(agg_instance().particles().size(), kAggProcs);
   const auto curve = make_curve<2>(CurveKind::kHilbert);
   const auto net = topo::make_topology<2>(topo::TopologyKind::kTorus,
                                           kAggProcs, curve.get());
   std::uint64_t pairs = 0;
+  for (auto _ : state) pairs = ffi_aggregated_pass(part, *net);
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(pairs));
+}
+
+/// BM_FfiAggregated at Table II's p = 65,536: p² is past the dense
+/// budget, so every event goes through the sparse accumulator's radix
+/// runs. Each iteration also runs (untimed) one dense p = 256 pass of
+/// BM_FfiAggregated and reports its ns/event as the dense_ns_per_event
+/// counter: interleaving the two keeps slow phases of a shared host from
+/// landing on one side of the sparse/dense ratio that bench_to_json.py
+/// gates.
+void BM_FfiAggregatedSparse(benchmark::State& state) {
+  constexpr topo::Rank kSparseProcs = 65536;
+  const auto curve = make_curve<2>(CurveKind::kHilbert);
+  const fmm::Partition part(agg_instance().particles().size(), kSparseProcs);
+  const auto net = topo::make_topology<2>(topo::TopologyKind::kTorus,
+                                          kSparseProcs, curve.get());
+  const fmm::Partition dense_part(agg_instance().particles().size(),
+                                  kAggProcs);
+  const auto dense_net = topo::make_topology<2>(
+      topo::TopologyKind::kTorus, kAggProcs, curve.get());
+  std::uint64_t pairs = 0;
+  double dense_ns = 0.0;
+  std::uint64_t dense_events = 0;
   for (auto _ : state) {
-    const auto totals = fmm::ffi_totals<2>(instance.tree(), part, *net);
-    pairs = totals.total().count;
-    benchmark::DoNotOptimize(totals);
+    pairs = ffi_aggregated_pass(part, *net);
+    state.PauseTiming();
+    const auto t0 = std::chrono::steady_clock::now();
+    dense_events += ffi_aggregated_pass(dense_part, *dense_net);
+    dense_ns += std::chrono::duration<double, std::nano>(
+                    std::chrono::steady_clock::now() - t0)
+                    .count();
+    state.ResumeTiming();
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(pairs));
+  state.counters["dense_ns_per_event"] =
+      dense_ns / static_cast<double>(dense_events);
 }
 
 void BM_FfiDirect(benchmark::State& state) {
@@ -197,6 +239,7 @@ BENCHMARK_CAPTURE(BM_NfiAggregatedScalar, r4, 4u);
 BENCHMARK_CAPTURE(BM_NfiDirect, r1, 1u);
 BENCHMARK_CAPTURE(BM_NfiDirect, r4, 4u);
 BENCHMARK(BM_FfiAggregated);
+BENCHMARK(BM_FfiAggregatedSparse)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_FfiDirect);
 
 // Custom main so the JSON context records the dispatched ISA (see

@@ -32,6 +32,10 @@ import sys
 import tempfile
 import time
 
+# Ceiling on the sparse (p = 65536) / dense (p = 256) FFI ns per event of
+# BM_FfiAggregatedSparse (see check_gates and run_ffi_sparse).
+SPARSE_OVER_DENSE_CAP = 4.0
+
 
 def run_micro_model(binary, min_time, repetitions, smoke):
     """Run the aggregated/direct micro benchmarks; return google-benchmark
@@ -39,7 +43,8 @@ def run_micro_model(binary, min_time, repetitions, smoke):
     used, which suppresses scheduler/frequency jitter on shared machines."""
     cmd = [
         binary,
-        "--benchmark_filter=Aggregated|Direct",
+        # BM_FfiAggregatedSparse is timed on its own (run_ffi_sparse).
+        "--benchmark_filter=Aggregated(/|Scalar|$)|Direct",
         "--benchmark_format=json",
     ]
     if smoke:
@@ -62,6 +67,33 @@ def run_micro_model(binary, min_time, repetitions, smoke):
         elif b.get("run_type") != "aggregate":
             entries.setdefault(name, b)
     return entries, simd_context(data)
+
+
+def run_ffi_sparse(binary, min_time, smoke):
+    """Time BM_FfiAggregatedSparse (the BM_FfiAggregated pass at
+    p = 65536, through the sparse accumulator) over five repetitions and
+    return the medians' (sparse ns/event, sparse/dense ratio). Each of its
+    iterations also runs one untimed dense p = 256 pass and reports that
+    pass's ns/event as the dense_ns_per_event counter; the ratio divides
+    by it rather than by a separate BM_FfiAggregated run, because the two
+    passes are bound by different resources and separately timed runs
+    drift apart with the load of a shared host."""
+    cmd = [
+        binary,
+        "--benchmark_filter=^BM_FfiAggregatedSparse$",
+        "--benchmark_format=json",
+        "--benchmark_repetitions=5",
+        "--benchmark_report_aggregates_only=true",
+        f"--benchmark_min_time={0.05 if smoke else min_time}",
+    ]
+    out = subprocess.run(cmd, check=True, capture_output=True, text=True)
+    median = next((b for b in json.loads(out.stdout)["benchmarks"]
+                   if b["name"] == "BM_FfiAggregatedSparse_median"), None)
+    if median is None:
+        return None, None
+    sparse = ns_per_pair(median)
+    dense = median.get("dense_ns_per_event")
+    return sparse, (sparse / dense if sparse and dense else None)
 
 
 def simd_context(data):
@@ -308,7 +340,9 @@ def run_ext_dynamics(build_dir, smoke):
     """Incremental-vs-recompute dynamics timing. ext_dynamics drives the
     DynamicAcd engine along a drift trajectory (5% of particles per
     step), asserting each step's incremental totals are bit-identical to
-    a full recompute, and attaches the median per-step speedup. Smoke
+    a full recompute, and attaches the median per-step speedup plus the
+    median milliseconds of each side (incremental_ms_p50,
+    recompute_ms_p50), so a ratio change can be traced to one side. Smoke
     runs the reduced preset (20k particles, p=256, dense accumulators);
     the full run uses the sparse-regime preset (250k, p=4096) where the
     delta path's netting matters most."""
@@ -328,6 +362,12 @@ def check_gates(result, previous, smoke):
 
     - The FFI aggregated path must beat the direct path by >= 1.5x (1.2x
       in smoke mode, where single-iteration timings are indicative only).
+    - The same FFI pass at p = 65536 (sparse accumulator) may cost at most
+      SPARSE_OVER_DENSE_CAP times the dense p = 256 pass per event. On a
+      4-CPU host, ten smoke-mode runs of the radix-runs accumulator read
+      3.1-3.5x and ten interleaved runs of the old stage-sort-merge
+      accumulator 4.4-5.2x (4.0-5.4x in earlier runs). A missing ratio
+      fails once the FFI pass was measured.
     - The ordering stage (batched encode + radix argsort) must beat the
       virtual-encode + stable_sort baseline by >= 3x (1.5x smoke),
       measured as the geometric mean over the benchmarked curves: the
@@ -368,6 +408,18 @@ def check_gates(result, previous, smoke):
     if ffi_speedup is not None and ffi_speedup < ffi_floor:
         failures.append(f"ffi aggregated speedup {ffi_speedup:.2f}x "
                         f"< {ffi_floor}x floor")
+
+    # Once the FFI pass was measured, a missing ratio (renamed benchmark,
+    # filter mismatch, dropped counter) fails instead of skipping.
+    sparse_ratio = result.get("ffi", {}).get("sparse_over_dense")
+    if result.get("ffi") and sparse_ratio is None:
+        failures.append("ffi sparse/dense ns per event not measured "
+                        "(BM_FfiAggregatedSparse_median or its "
+                        "dense_ns_per_event counter missing)")
+    elif sparse_ratio is not None and sparse_ratio > SPARSE_OVER_DENSE_CAP:
+        failures.append(f"ffi sparse/dense ns per event {sparse_ratio:.2f}x "
+                        f"> {SPARSE_OVER_DENSE_CAP}x ceiling (sparse "
+                        f"accumulator regressed)")
 
     speedups = [o["speedup"] for o in result.get("ordering", {}).values()
                 if o.get("speedup") is not None]
@@ -671,6 +723,12 @@ def main():
             "direct_ns_per_pair": d,
             "speedup": d / a if a and d else None,
         }
+        # Same fixture at p = 65536: the events go through the sparse
+        # accumulator's radix runs instead of a dense p^2 array.
+        # Recorded even when missing (None), so check_gates fails closed.
+        sp, ratio = run_ffi_sparse(micro, opts.min_time, opts.smoke)
+        ffi["sparse_ns_per_event"] = sp
+        ffi["sparse_over_dense"] = ratio
 
     result = {
         "benchmark": "acd_rank_pair_aggregation",
@@ -793,6 +851,9 @@ def main():
         print(f"  ffi: {ffi['aggregated_ns_per_pair']:.2f} ns/pair aggregated "
               f"vs {ffi['direct_ns_per_pair']:.2f} direct "
               f"({ffi['speedup']:.2f}x)")
+    if ffi and ffi.get("sparse_over_dense"):
+        print(f"  ffi sparse (p=65536): {ffi['sparse_ns_per_event']:.2f} "
+              f"ns/event, {ffi['sparse_over_dense']:.2f}x dense")
     for name, s in result.get("sweep_engine", {}).items():
         print(f"  sweep/{name}: {s['reuse_seconds']:.2f}s reuse vs "
               f"{s['direct_seconds']:.2f}s direct ({s['speedup']:.2f}x), "
@@ -839,7 +900,9 @@ def main():
         dyn = result["dynamics"]
         print(f"  dynamics: incremental timestep {dyn['speedup_p50']:.2f}x "
               f"vs full recompute at move fraction "
-              f"{dyn['move_fraction']:.2f} ({dyn['steps']} steps)")
+              f"{dyn['move_fraction']:.2f} ({dyn['steps']} steps; "
+              f"{dyn.get('incremental_ms_p50', float('nan')):.1f} ms vs "
+              f"{dyn.get('recompute_ms_p50', float('nan')):.1f} ms)")
     for curve, o in sorted(result.get("ordering", {}).items()):
         if o.get("speedup"):
             simd = (f", simd {o['simd_speedup']:.2f}x"

@@ -137,7 +137,7 @@ void DynamicAcd<D>::nfi_phase(const std::vector<ParticleMove<D>>& movers,
   if (!nfi_acc_.dense()) {
     // Sparse mode: net the phase's events in the scratch (serially —
     // PairDeltas is single-writer; the scan is a small share of a sparse
-    // step) instead of staging every raw event for a compaction sort.
+    // step) instead of staging every raw event for a radix flush.
     nfi_scan(nfi_deltas_, movers, retract, 0, movers.size());
     return;
   }
@@ -232,7 +232,7 @@ void DynamicAcd<D>::ffi_diff(
     ffi_diff_walk(touched, ffi_.interpolation, ffi_.interaction);
   } else {
     // Sparse mode: net the batch's events in the scratches instead of
-    // staging every raw event for a compaction sort.
+    // staging every raw event for a radix flush.
     ffi_diff_walk(touched, ffi_interp_deltas_, ffi_inter_deltas_);
   }
 }
@@ -255,10 +255,22 @@ void DynamicAcd<D>::ffi_diff_walk(
   //     pre/post, the pair would only cancel) or is emitted by the
   //     changed partner;
   //   * a changed-changed interaction pair is emitted by the smaller key.
+  // An interaction pair whose two endpoints both keep their *rank* (an
+  // owner particle changed within one rank's chunk) would retract and
+  // assert the same rank pairs, so it is skipped: the counts net to zero
+  // either way.
   constexpr std::uint32_t kNone = fmm::DynamicCellTree<D>::kNoParticle;
+  const auto rank_of = [this](std::uint32_t particle) {
+    return particle == kNone ? ~topo::Rank{0} : owners_[particle];
+  };
   const unsigned finest = level_;
+  // Cells are walked in key order: neighboring keys share the tree and
+  // owner reads of their partners, which a hash-set order scatters.
+  std::vector<std::uint64_t> keys;
   for (unsigned l = 0; l <= finest; ++l) {
-    for (const std::uint64_t key : touched[l]) {
+    keys.assign(touched[l].begin(), touched[l].end());
+    std::sort(keys.begin(), keys.end());
+    for (const std::uint64_t key : keys) {
       const std::uint32_t pre = pre_owner(l, key);
       const std::uint32_t post = tree_.owner_or_none(l, key);
       if (pre == post) continue;  // unchanged: partners emit any diffs
@@ -292,6 +304,7 @@ void DynamicAcd<D>::ffi_diff_walk(
       }
       if (l >= 2) {
         const Point<D> cell = morton_point<D>(key);
+        const bool same_rank = rank_of(pre) == rank_of(post);
         fmm::for_each_interaction_keys<D>(cell, l, [&](std::uint64_t qk) {
           const std::uint32_t q_post = tree_.owner_or_none(l, qk);
           std::uint32_t q_pre = q_post;
@@ -300,6 +313,7 @@ void DynamicAcd<D>::ffi_diff_walk(
             // A changed partner with the smaller key owns the pair.
             if (q_pre != q_post && qk < key) return;
           }
+          if (same_rank && rank_of(q_pre) == rank_of(q_post)) return;
           if (pre != kNone && q_pre != kNone) {
             inter.sub(owners_[q_pre], owners_[pre]);
             inter.sub(owners_[pre], owners_[q_pre]);

@@ -182,7 +182,7 @@ class DynamicAcd {
   // the end of every move_particles call (empty between batches). The
   // delta walks hit the same few rank pairs thousands of times per step;
   // netting them here first keeps the sparse accumulators' staging
-  // buffers — and their compaction sorts — off the incremental hot path,
+  // buffers — and their radix flushes — off the incremental hot path,
   // and lets a retract/assert pair with unchanged owners vanish without
   // ever reaching the histogram. NFI uses its scratch only in sparse
   // mode (dense adds are a single array update; the threaded dense path

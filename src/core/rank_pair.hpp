@@ -10,15 +10,24 @@
 // fold strategies.
 //
 // Storage adapts to p: a dense p² count array while p² fits the budget
-// (p <= 2048 by default), and a sorted-sparse (key → count) list with a
-// bounded unsorted staging buffer beyond — sweeps at paper scale
-// (p = 65536) never allocate p² memory.
+// (p <= 2048 by default), and sorted (key → count) runs beyond — sweeps
+// at paper scale (p = 65536) never allocate p² memory. Sparse events land
+// in a bounded unsorted staging buffer; a full buffer is radix-sorted on
+// its varying key bytes, equal keys summed and zero nets dropped, and the
+// result appended as one more run — never merged into the existing
+// aggregate. Runs of similar size merge as they appear, so a long-lived
+// histogram holds O(log) runs and O(pairs) memory. seal() merges what is
+// left into a single run once, as a cascade of linear two-way merges
+// (smallest first; a small run merges backwards into a large one in
+// place). Combining sparse histograms hands runs over instead of
+// re-adding pairs, so merging per-worker shards is a splice.
 //
 // Beyond the fast path, the histogram itself is the observability
 // artifact for contention modeling: for_each() exposes the exact
 // per-rank-pair traffic matrix of a communication set.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <optional>
@@ -76,12 +85,12 @@ class RankPairAccumulator {
   /// Remove `count` previously recorded communications from rank `src` to
   /// rank `dst` — the retraction half of the incremental (delta) update
   /// path. Counts are unsigned, so sparse mode stages the two's-complement
-  /// 0 - count and lets the modular sums of compact() net it out; every
-  /// fold kernel is linear in the counts, so as long as the *multiset*
-  /// never goes negative overall (each sub matches an earlier add), the
-  /// folded totals stay exact. A per-pair count that a stale subtraction
-  /// drives "negative" wraps to a huge value, which the differential
-  /// dynamics suite detects immediately.
+  /// 0 - count and lets the modular sums of the run reduction net it out;
+  /// every fold kernel is linear in the counts, so as long as the
+  /// *multiset* never goes negative overall (each sub matches an earlier
+  /// add), the folded totals stay exact. A per-pair count that a stale
+  /// subtraction drives "negative" wraps to a huge value, which the
+  /// differential dynamics suite detects immediately.
   void sub(topo::Rank src, topo::Rank dst, std::uint64_t count = 1) {
     if (count == 0) return;
     if (is_dense_) {
@@ -98,8 +107,11 @@ class RankPairAccumulator {
                      : nullptr;
   }
 
-  /// Merge another histogram (same processor count) into this one.
+  /// Merge another histogram (same processor count, not this one) into
+  /// this one. A sparse target takes over the other side's runs — copied
+  /// here, moved by the rvalue overload — and merges them at seal().
   RankPairAccumulator& operator+=(const RankPairAccumulator& o);
+  RankPairAccumulator& operator+=(RankPairAccumulator&& o);
 
   /// Fold against a prebuilt hop table: Σ count(a,b) · table(a,b).
   /// Test/oracle path — production consumers hand view() to
@@ -116,24 +128,25 @@ class RankPairAccumulator {
   /// histogram's storage — it is invalidated by any later add().
   topo::PairCountsView view() const {
     if (is_dense_) return topo::PairCountsView::dense(p_, dense_.data());
-    compact();
-    return topo::PairCountsView::sparse(p_, sorted_.data(), sorted_.size());
+    const Run& run = sealed_run();
+    return topo::PairCountsView::sparse(p_, run.data(), run.size());
   }
 
-  /// Force the sparse-mode staging buffer into the sorted aggregate now.
-  /// compact() runs lazily on first fold/for_each and mutates the
-  /// (mutable) representation, so a histogram shared across concurrent
-  /// fold tasks must be sealed first — afterwards every const operation
-  /// is a pure read. No-op in dense mode or when already compact.
+  /// Merge the sparse-mode staging buffer and every run into one sorted
+  /// run now, releasing the staging and sort buffers. compact() runs
+  /// lazily on first fold/for_each and mutates the (mutable)
+  /// representation, so a histogram shared across concurrent fold tasks
+  /// must be sealed first — afterwards every const operation is a pure
+  /// read. No-op in dense mode or when already sealed.
   void seal() const {
     if (!is_dense_) compact();
   }
 
   /// Bytes held by this histogram's backing storage (cache accounting).
   std::size_t memory_bytes() const noexcept {
-    return dense_.capacity() * sizeof(std::uint64_t) +
-           (staging_.capacity() + sorted_.capacity()) *
-               sizeof(std::pair<std::uint64_t, std::uint64_t>);
+    std::size_t entries = staging_.capacity() + scratch_.capacity();
+    for (const Run& run : runs_) entries += run.capacity();
+    return dense_.capacity() * sizeof(std::uint64_t) + entries * sizeof(Entry);
   }
 
   /// Total recorded communications (sum of all counts).
@@ -153,27 +166,46 @@ class RankPairAccumulator {
       }
       return;
     }
-    compact();
-    for (const auto& [key, count] : sorted_) {
+    for (const auto& [key, count] : sealed_run()) {
       fn(static_cast<topo::Rank>(key / p_), static_cast<topo::Rank>(key % p_),
          count);
     }
   }
 
  private:
-  /// Staging buffer cap before a sort-and-merge compaction (16 MiB).
-  static constexpr std::size_t kStagingCap = std::size_t{1} << 20;
+  friend std::optional<RankPairAccumulator> rank_pairs_deserialize(
+      const std::uint8_t*, std::size_t, std::size_t&);
+
+  /// (src·p + dst, count); a run is sorted by key, keys unique, counts
+  /// nonzero.
+  using Entry = std::pair<std::uint64_t, std::uint64_t>;
+  using Run = std::vector<Entry>;
+
+  /// Staging buffer cap before it is sorted into a run (1 MiB: the
+  /// buffer and its sort scratch stay in cache, which measured faster
+  /// than 16 MiB buffers despite the extra run merges).
+  static constexpr std::size_t kStagingCap = std::size_t{1} << 16;
+  /// Run count past which operator+= merges everything (runs handed over
+  /// by += bypass the similar-size merging of flush()).
+  static constexpr std::size_t kMaxRuns = 64;
 
   void add_sparse(topo::Rank src, topo::Rank dst, std::uint64_t count);
-  /// Merge the staging buffer into the sorted aggregate. Const because
-  /// the pair *multiset* is unchanged — only its representation.
+  /// Sort and reduce the staging buffer into a new run. The const members
+  /// below are const because the pair *multiset* is unchanged — only its
+  /// representation.
+  void flush() const;
+  /// Merge every run (staging flushed first) into one and release the
+  /// staging and sort buffers.
   void compact() const;
+  /// The single sorted run of a compacted sparse histogram.
+  const Run& sealed_run() const;
 
   topo::Rank p_;
   bool is_dense_;
   std::vector<std::uint64_t> dense_;  // p² counts (dense mode only)
-  mutable std::vector<std::pair<std::uint64_t, std::uint64_t>> staging_;
-  mutable std::vector<std::pair<std::uint64_t, std::uint64_t>> sorted_;
+  mutable Run staging_;               // unsorted events, < kStagingCap
+  mutable Run scratch_;               // radix-sort buffer for flush()
+  mutable std::vector<Run> runs_;     // sorted, reduced runs
 };
 
 // ------------------------------------------------- artifact-store codec
@@ -189,9 +221,12 @@ void rank_pairs_serialize(const RankPairAccumulator& acc,
 /// Decode the record at `offset` in [data, data+size), advancing offset
 /// past it. The restored accumulator reproduces the recorded dense or
 /// sparse mode exactly (via the ctor's budget hook), independent of what
-/// pick_dense would choose today. Returns nullopt on malformed bytes —
-/// the artifact store's checksum makes that unreachable for store-read
-/// payloads, but the codec still never trusts its input.
+/// pick_dense would choose today. The key-ordered records become the
+/// sealed run (or dense cells) directly, with no re-sort. Returns nullopt
+/// on malformed bytes — a truncated record, a key that is not below p² or
+/// not strictly above its predecessor, or a zero count. The artifact
+/// store's checksum makes that unreachable for store-read payloads, but
+/// the codec still never trusts its input.
 std::optional<RankPairAccumulator> rank_pairs_deserialize(
     const std::uint8_t* data, std::size_t size, std::size_t& offset);
 
@@ -199,15 +234,18 @@ std::optional<RankPairAccumulator> rank_pairs_deserialize(
 /// incremental (delta) consumers.
 ///
 /// A delta walk touches the same few rank pairs thousands of times per
-/// timestep. In dense mode that is harmless (each event is one array
-/// update), but in sparse mode every raw add()/sub() lands in the
-/// staging buffer and pays its share of a large compaction sort — the
-/// dominant cost of an incremental step at paper-scale p. A PairDeltas
-/// nets the step's events by pair first (open addressing, modular
+/// timestep, and most of its retract/assert pairs cancel. In dense mode
+/// that is harmless (each event is one array update), but in sparse mode
+/// every raw add()/sub() lands in the staging buffer and is radix-sorted
+/// at the next seal. A PairDeltas nets the step's events by pair first
+/// in a small, cache-resident table (open addressing, modular
 /// arithmetic, so retract/assert pairs that cancel vanish here) and
-/// flush_into() forwards only the surviving net entries. Every count is
-/// modular, so flushing preserves the multiset exactly regardless of
-/// how events were grouped.
+/// flush_into() forwards only the surviving net entries, which then
+/// merge into the histogram's run in place. On the ext_dynamics --full
+/// preset that keeps the post-step FFI seal near 5 ms, against about
+/// 45 ms when the raw events are staged. Every count is modular, so
+/// flushing preserves the multiset exactly regardless of how events were
+/// grouped.
 class PairDeltas {
  public:
   explicit PairDeltas(topo::Rank procs) : p_(procs) { rehash(1024); }
@@ -285,9 +323,12 @@ class PairDeltas {
 /// building a fresh accumulator per chunk and merging under a mutex (a
 /// p²-sized zero + merge per chunk), each chunk records into the shard of
 /// the worker executing it, and the shards merge into the target exactly
-/// once after all fan-outs finish. Counts commute, so the merged multiset
-/// — and in dense mode the byte-for-byte array — is independent of
-/// scheduling and chunk boundaries.
+/// once after all fan-outs finish. In sparse mode that merge sorts each
+/// shard's partial last staging buffer into a run and moves the shard's
+/// runs into the target (full buffers were sorted on the worker that
+/// filled them); the runs themselves merge when the target is sealed. Counts commute, so
+/// the merged multiset — and in dense mode the byte-for-byte array — is
+/// independent of scheduling and chunk boundaries.
 class RankPairShards {
  public:
   /// One shard per pool worker plus one for the calling thread (the
@@ -309,9 +350,10 @@ class RankPairShards {
     return shards_[idx < last ? idx : last];
   }
 
-  /// Merge every shard into `acc`, in fixed slot order.
-  void merge_into(RankPairAccumulator& acc) const {
-    for (const RankPairAccumulator& s : shards_) acc += s;
+  /// Move every shard into `acc`, in fixed slot order; the shards are
+  /// left empty.
+  void merge_into(RankPairAccumulator& acc) {
+    for (RankPairAccumulator& s : shards_) acc += std::move(s);
   }
 
  private:

@@ -188,9 +188,14 @@ void radix_count_scatter_threaded(ThreadPool& pool, const T* src, T* dst,
 /// bit-identical to the serial path regardless of scheduling. Do not
 /// pass a pool from inside one of its own tasks with a single spare
 /// worker — like parallel_for_chunks, the call blocks on pool progress.
+///
+/// The scatters ping-pong between `items` and `scratch`, which is resized
+/// to items.size() (the two vectors may trade storage); a caller sorting
+/// many same-sized buffers keeps one scratch and allocates it once.
+/// Afterwards `scratch` holds unspecified values.
 template <typename T, typename KeyFn>
 void radix_sort_by_key(std::vector<T>& items, KeyFn key_of,
-                       ThreadPool* pool = nullptr) {
+                       std::vector<T>& scratch, ThreadPool* pool = nullptr) {
   const std::size_t n = items.size();
   if (n < 2) return;
   std::uint64_t all_or = 0;
@@ -205,9 +210,9 @@ void radix_sort_by_key(std::vector<T>& items, KeyFn key_of,
     if (((varying >> (byte * 8)) & 0xffu) != 0) shifts[nv++] = byte * 8;
   }
 
-  std::vector<T> buffer(n);
+  scratch.resize(n);
   T* src = items.data();
-  T* dst = buffer.data();
+  T* dst = scratch.data();
 
   const bool threaded = pool != nullptr && pool->size() > 1 &&
                         n >= detail::threaded_radix_min();
@@ -229,9 +234,17 @@ void radix_sort_by_key(std::vector<T>& items, KeyFn key_of,
     detail::radix_passes_serial(src, dst, n, shifts, nv, key_of);
   }
   if (src != items.data()) {
-    // Odd number of passes: the sorted run lives in the buffer.
-    items.swap(buffer);
+    // Odd number of passes: the sorted run lives in the scratch.
+    items.swap(scratch);
   }
+}
+
+/// radix_sort_by_key with a scratch buffer of its own.
+template <typename T, typename KeyFn>
+void radix_sort_by_key(std::vector<T>& items, KeyFn key_of,
+                       ThreadPool* pool = nullptr) {
+  std::vector<T> scratch;
+  radix_sort_by_key(items, key_of, scratch, pool);
 }
 
 /// Argsort entry point: sort (key, index) pairs by key, ties by input

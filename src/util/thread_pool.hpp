@@ -75,7 +75,10 @@ class ThreadPool {
   /// (e.g. the coordinating thread). Fan-out kernels use this to keep
   /// per-worker shards without synchronization: each chunk writes only
   /// the shard of the worker executing it, and the coordinator gets a
-  /// slot of its own (see RankPairShards).
+  /// slot of its own (see RankPairShards). Sparse shards sort each full
+  /// staging buffer into a run on the worker that fills it, so the one
+  /// serial step after the fan-out — merge_into — sorts only each shard's
+  /// partial last buffer and moves runs.
   static unsigned current_worker_index() noexcept;
 
  private:

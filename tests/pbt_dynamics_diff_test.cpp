@@ -19,8 +19,11 @@
 
 #include "core/dynamic_acd.hpp"
 #include "core/totals.hpp"
+#include "distribution/distribution.hpp"
 #include "fmm/ffi.hpp"
+#include "fmm/nfi.hpp"
 #include "oracles/oracles.hpp"
+#include "topology/factory.hpp"
 #include "testing/domain.hpp"
 #include "testing/gtest.hpp"
 #include "util/rng.hpp"
@@ -398,6 +401,51 @@ TEST(DynamicsDiff, ThreadedBatchesMatchSerialBitIdentically) {
         }
         return std::nullopt;
       });
+}
+
+TEST(DynamicsDiff, SparseBatchesMatchSerialAndRecompute) {
+  // p = 4096 puts every histogram past the dense budget, so each 5% drift
+  // batch is netted in the PairDeltas scratches and its small run merged
+  // into the sealed aggregate in place. An engine on a pool must match the
+  // serial engine after every batch and a full recompute of the frozen
+  // assignment at the end.
+  constexpr unsigned kLevel = 9;
+  constexpr topo::Rank kProcs = 4096;
+  dist::SampleConfig cfg;
+  cfg.count = 60000;
+  cfg.level = kLevel;
+  cfg.seed = 11;
+  const std::vector<Point2> pts =
+      dist::sample_particles<2>(dist::DistKind::kUniform, cfg);
+  const auto curve = make_curve<2>(CurveKind::kHilbert);
+  const auto net =
+      topo::make_topology<2>(topo::TopologyKind::kTorus, kProcs, curve.get());
+  core::DynamicAcd<2>::Options opts;
+  opts.repartition_threshold = 2.0;
+  core::DynamicAcd<2> serial(pts, kLevel, *curve, kProcs, opts);
+  core::DynamicAcd<2> threaded(pts, kLevel, *curve, kProcs, opts,
+                               &shared_pool());
+  for (unsigned step = 0; step < 3; ++step) {
+    const auto moves =
+        core::drift_moves<2>(serial.particles(), kLevel, 5, step, 0.05);
+    serial.move_particles(moves, nullptr);
+    threaded.move_particles(moves, &shared_pool());
+    SCOPED_TRACE(step);
+    EXPECT_EQ(threaded.nfi(*net), serial.nfi(*net));
+    EXPECT_EQ(threaded.ffi(*net).interpolation, serial.ffi(*net).interpolation);
+    EXPECT_EQ(threaded.ffi(*net).interaction, serial.ffi(*net).interaction);
+  }
+  const std::vector<Point2>& cur = threaded.particles();
+  const fmm::Partition part(cur.size(), kProcs);
+  const fmm::FfiTotals want =
+      fmm::ffi_totals<2>(fmm::CellTree<2>(cur, kLevel), part, *net);
+  const fmm::FfiTotals got = threaded.ffi(*net);
+  EXPECT_EQ(got.interpolation, want.interpolation);
+  EXPECT_EQ(got.anterpolation, want.anterpolation);
+  EXPECT_EQ(got.interaction, want.interaction);
+  EXPECT_EQ(threaded.nfi(*net),
+            fmm::nfi_totals<2>(cur, fmm::OccupancyGrid<2>(cur, kLevel), part,
+                               *net, opts.radius, opts.norm));
 }
 
 // ----------------------------------------------------------- 3-D coverage

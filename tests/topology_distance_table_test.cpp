@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <tuple>
 #include <utility>
@@ -218,6 +220,305 @@ TEST(RankPairAccumulator, CountMultiplicityAndZero) {
     ++seen;
   });
   EXPECT_EQ(seen, 1u);
+}
+
+// ---------------------------------------------------------------------------
+// Sparse runs beyond the staging cap: several flushes, merges that sum
+// counts and cancel retractions, run hand-over between accumulators, and
+// a threaded shard fan-out must all hold exactly the dense multiset.
+
+/// One recorded operation: count > 0 adds, sub = retraction.
+struct PairOp {
+  topo::Rank src = 0;
+  topo::Rank dst = 0;
+  std::uint64_t count = 0;
+  bool sub = false;
+};
+
+/// p = 2100 puts p² past the default dense budget, so default-built
+/// accumulators (the RankPairShards slots) are sparse.
+constexpr topo::Rank kRunsProcs = 2100;
+/// Rows at the top of the rank range hold only transient pairs: each is
+/// added once and retracted exactly, about 1.5M operations later (in a
+/// later staging buffer), so its net is zero and it must vanish.
+constexpr topo::Rank kTransientRows = 16;
+
+const std::vector<PairOp>& run_ops() {
+  static const std::vector<PairOp> ops = [] {
+    std::vector<PairOp> out;
+    constexpr std::size_t kOps = 3'300'000;
+    constexpr std::size_t kLag = 1'500'000;
+    out.reserve(kOps);
+    std::uint64_t state = 0x2545f4914f6cdd1dull;
+    const auto next = [&state] {
+      state = state * 6364136223846793005ull + 1442695040888963407ull;
+      return state >> 17;
+    };
+    std::vector<PairOp> pending;  // transient adds awaiting retraction
+    std::size_t retracted = 0;
+    for (std::size_t i = 0; out.size() < kOps; ++i) {
+      if (i % 16 == 0) {
+        const std::uint64_t r = next();
+        const PairOp op{static_cast<topo::Rank>(kRunsProcs - kTransientRows +
+                                                r % kTransientRows),
+                        static_cast<topo::Rank>((r >> 8) % kRunsProcs),
+                        1 + (r >> 20) % 5, false};
+        out.push_back(op);
+        pending.push_back(op);
+      } else if (retracted < pending.size() &&
+                 out.size() >= kLag + retracted * 16) {
+        PairOp op = pending[retracted++];
+        op.sub = true;
+        out.push_back(op);
+      } else {
+        const std::uint64_t r = next();
+        out.push_back({static_cast<topo::Rank>(
+                           r % (kRunsProcs - kTransientRows)),
+                       static_cast<topo::Rank>((r >> 16) % kRunsProcs),
+                       r % 7 == 0 ? 1 + (r >> 40) % 9 : 1, false});
+      }
+    }
+    // Retract whatever is still pending so every transient pair nets out.
+    for (; retracted < pending.size(); ++retracted) {
+      PairOp op = pending[retracted];
+      op.sub = true;
+      out.push_back(op);
+    }
+    return out;
+  }();
+  return ops;
+}
+
+void apply(core::RankPairAccumulator& acc, const PairOp& op) {
+  if (op.sub) {
+    acc.sub(op.src, op.dst, op.count);
+  } else {
+    acc.add(op.src, op.dst, op.count);
+  }
+}
+
+void apply_range(core::RankPairAccumulator& acc, std::size_t lo,
+                 std::size_t hi, std::size_t stride = 1,
+                 std::size_t phase = 0) {
+  const std::vector<PairOp>& ops = run_ops();
+  for (std::size_t i = lo; i < hi; ++i) {
+    if (i % stride == phase) apply(acc, ops[i]);
+  }
+}
+
+/// The dense accumulator every sparse construction is compared with.
+const core::RankPairAccumulator& dense_reference() {
+  static const core::RankPairAccumulator ref = [] {
+    core::RankPairAccumulator acc(
+        kRunsProcs, static_cast<std::size_t>(kRunsProcs) * kRunsProcs);
+    apply_range(acc, 0, run_ops().size());
+    return acc;
+  }();
+  return ref;
+}
+
+using PairList = std::vector<std::tuple<topo::Rank, topo::Rank, std::uint64_t>>;
+
+PairList pairs_of(const core::RankPairAccumulator& acc) {
+  PairList out;
+  acc.for_each([&out](topo::Rank a, topo::Rank b, std::uint64_t c) {
+    out.emplace_back(a, b, c);
+  });
+  return out;
+}
+
+/// for_each, events(), a view() fold and the codec bytes all match the
+/// dense reference. The codec's mode word (bytes 8..16) is the one field
+/// that differs by construction.
+void expect_same_multiset(const core::RankPairAccumulator& sparse,
+                          const char* what) {
+  SCOPED_TRACE(what);
+  const core::RankPairAccumulator& dense = dense_reference();
+  ASSERT_TRUE(dense.dense());
+  ASSERT_FALSE(sparse.dense());
+  sparse.seal();
+  const PairList expect = pairs_of(dense);
+  const PairList got = pairs_of(sparse);
+  ASSERT_EQ(got.size(), expect.size());
+  EXPECT_TRUE(got == expect);
+  for (const auto& [a, b, c] : got) {
+    ASSERT_LT(a, kRunsProcs - kTransientRows) << "a transient pair survived";
+    ASSERT_NE(c, 0u);
+  }
+  EXPECT_EQ(sparse.events(), dense.events());
+
+  const topo::RingTopology ring(kRunsProcs);
+  const core::CommTotals fs = ring.fold(sparse.view());
+  const core::CommTotals fd = ring.fold(dense.view());
+  EXPECT_EQ(fs.hops, fd.hops);
+  EXPECT_EQ(fs.count, fd.count);
+
+  std::vector<std::uint8_t> sb, db;
+  core::rank_pairs_serialize(sparse, sb);
+  core::rank_pairs_serialize(dense, db);
+  ASSERT_EQ(sb.size(), db.size());
+  EXPECT_TRUE(std::equal(sb.begin(), sb.begin() + 8, db.begin()));
+  EXPECT_TRUE(std::equal(sb.begin() + 16, sb.end(), db.begin() + 16));
+}
+
+TEST(RankPairRuns, ManyFlushesMatchDense) {
+  ASSERT_GT(run_ops().size(), std::size_t{3'000'000});
+  core::RankPairAccumulator sparse(kRunsProcs, 0);
+  apply_range(sparse, 0, run_ops().size());
+  expect_same_multiset(sparse, "one sparse accumulator");
+  // A second seal and the codec round trip leave the multiset unchanged.
+  sparse.seal();
+  std::vector<std::uint8_t> bytes;
+  core::rank_pairs_serialize(sparse, bytes);
+  std::size_t off = 0;
+  const auto back = core::rank_pairs_deserialize(bytes.data(), bytes.size(),
+                                                 off);
+  ASSERT_TRUE(back.has_value());
+  EXPECT_EQ(off, bytes.size());
+  expect_same_multiset(*back, "codec round trip");
+}
+
+TEST(RankPairRuns, SparseAndDenseMergesMatchDense) {
+  const std::size_t n = run_ops().size();
+  const auto dense_half = [&](std::size_t phase) {
+    core::RankPairAccumulator acc(
+        kRunsProcs, static_cast<std::size_t>(kRunsProcs) * kRunsProcs);
+    apply_range(acc, 0, n, 2, phase);
+    return acc;
+  };
+  {
+    core::RankPairAccumulator a(kRunsProcs, 0), b(kRunsProcs, 0);
+    apply_range(a, 0, n, 2, 0);
+    apply_range(b, 0, n, 2, 1);
+    a += b;  // copied runs
+    expect_same_multiset(a, "sparse += sparse");
+  }
+  {
+    core::RankPairAccumulator a(kRunsProcs, 0), b(kRunsProcs, 0);
+    apply_range(a, 0, n / 3);
+    apply_range(b, n / 3, n);
+    a += std::move(b);  // moved runs, unflushed staging included
+    expect_same_multiset(a, "sparse += moved sparse");
+  }
+  {
+    core::RankPairAccumulator a(kRunsProcs, 0);
+    apply_range(a, 0, n, 2, 0);
+    a += dense_half(1);
+    expect_same_multiset(a, "sparse += dense");
+  }
+  {
+    core::RankPairAccumulator a = dense_half(0);
+    core::RankPairAccumulator b(kRunsProcs, 0);
+    apply_range(b, 0, n, 2, 1);
+    a += b;
+    core::RankPairAccumulator sparse(kRunsProcs, 0);
+    sparse += a;  // dense result back into a sparse histogram
+    EXPECT_TRUE(pairs_of(a) == pairs_of(dense_reference()));
+    expect_same_multiset(sparse, "dense += sparse");
+  }
+}
+
+TEST(RankPairRuns, SmallRunsMergeIntoTheSealedRunInPlace) {
+  // Per-step deltas of an incremental consumer: a few thousand events
+  // against a sealed aggregate of millions of pairs. Each round retracts
+  // some pairs to exactly zero, bumps others and adds new ones; the first
+  // round grows the run, later rounds fit in the slack it left.
+  core::RankPairAccumulator sparse(kRunsProcs, 0);
+  apply_range(sparse, 0, run_ops().size());
+  sparse.seal();
+  core::RankPairAccumulator dense = dense_reference();
+  const PairList initial = pairs_of(dense);
+  ASSERT_GT(initial.size(), std::size_t{1'000'000});
+  for (std::size_t round = 0; round < 3; ++round) {
+    for (std::size_t k = 0; k < 3000; ++k) {
+      const auto& [a, b, c] =
+          initial[(k * 7919 + round * 104729) % initial.size()];
+      if (k % 3 == 0) {
+        sparse.sub(a, b, c);
+        dense.sub(a, b, c);
+      } else if (k % 3 == 1) {
+        sparse.add(a, b, 2);
+        dense.add(a, b, 2);
+      } else {
+        const auto src = static_cast<topo::Rank>(kRunsProcs - 1 - round);
+        const auto dst = static_cast<topo::Rank>(k % kRunsProcs);
+        sparse.add(src, dst, 1 + round);
+        dense.add(src, dst, 1 + round);
+      }
+    }
+    sparse.seal();
+    SCOPED_TRACE(round);
+    EXPECT_TRUE(pairs_of(sparse) == pairs_of(dense));
+    EXPECT_EQ(sparse.events(), dense.events());
+  }
+}
+
+TEST(RankPairRuns, ShardFanOutMatchesDense) {
+  util::ThreadPool pool(4);
+  core::RankPairShards shards(kRunsProcs, pool.size());
+  ASSERT_FALSE(shards.local().dense());
+  const std::vector<PairOp>& ops = run_ops();
+  util::parallel_for_chunks(pool, 0, ops.size(), 1 << 16,
+                            [&](std::size_t lo, std::size_t hi) {
+                              apply_range(shards.local(), lo, hi);
+                            });
+  core::RankPairAccumulator merged(kRunsProcs);
+  ASSERT_FALSE(merged.dense());
+  shards.merge_into(merged);
+  expect_same_multiset(merged, "4-worker shards");
+}
+
+// ---------------------------------------------------------------------------
+// Codec: a record is a sealed run, so keys must strictly increase and
+// counts be nonzero; anything else is malformed (nullopt).
+
+std::vector<std::uint8_t> codec_record(
+    std::uint64_t procs, std::uint64_t mode,
+    const std::vector<std::pair<std::uint64_t, std::uint64_t>>& pairs) {
+  std::vector<std::uint64_t> words = {procs, mode, pairs.size()};
+  for (const auto& [key, count] : pairs) {
+    words.push_back(key);
+    words.push_back(count);
+  }
+  std::vector<std::uint8_t> bytes(words.size() * 8);
+  std::memcpy(bytes.data(), words.data(), bytes.size());
+  return bytes;
+}
+
+bool decodes(const std::vector<std::uint8_t>& bytes) {
+  std::size_t off = 0;
+  return core::rank_pairs_deserialize(bytes.data(), bytes.size(), off)
+      .has_value();
+}
+
+TEST(RankPairCodec, RejectsKeysThatDoNotStrictlyIncrease) {
+  for (const std::uint64_t mode : {0u, 1u}) {
+    SCOPED_TRACE(mode == 1 ? "dense" : "sparse");
+    EXPECT_TRUE(decodes(codec_record(8, mode, {{3, 1}, {9, 2}, {63, 5}})));
+    EXPECT_FALSE(decodes(codec_record(8, mode, {{3, 1}, {9, 2}, {9, 5}})));
+    EXPECT_FALSE(decodes(codec_record(8, mode, {{9, 2}, {3, 1}})));
+    EXPECT_FALSE(decodes(codec_record(8, mode, {{3, 1}, {64, 1}})));
+  }
+}
+
+TEST(RankPairCodec, RejectsZeroCounts) {
+  for (const std::uint64_t mode : {0u, 1u}) {
+    SCOPED_TRACE(mode == 1 ? "dense" : "sparse");
+    EXPECT_FALSE(decodes(codec_record(8, mode, {{3, 1}, {9, 0}})));
+    EXPECT_FALSE(decodes(codec_record(8, mode, {{0, 0}})));
+  }
+}
+
+TEST(RankPairCodec, DecodedRecordIsSealedAndFolds) {
+  std::size_t off = 0;
+  const auto bytes = codec_record(8, 0, {{1, 4}, {10, 2}, {62, 7}});
+  const auto acc =
+      core::rank_pairs_deserialize(bytes.data(), bytes.size(), off);
+  ASSERT_TRUE(acc.has_value());
+  EXPECT_FALSE(acc->dense());
+  EXPECT_EQ(acc->events(), 13u);
+  EXPECT_TRUE(pairs_of(*acc) ==
+              (PairList{{0, 1, 4}, {1, 2, 2}, {7, 6, 7}}));
 }
 
 // ---------------------------------------------------------------------------
