@@ -103,7 +103,7 @@ int main(int argc, char** argv) {
               << " drift steps at move fraction " << study.move_fraction
               << " ==\n\n";
 
-    const core::DynamicsOptions options{h.pool(), nullptr};
+    const core::DynamicsOptions options{h.pool()};
     const core::DynamicsResult result = core::run_dynamics(study, options);
 
     util::Table table(

@@ -386,6 +386,9 @@ def check_gates(result, previous, smoke):
       sweep at p = 4096 before Topology::fold.
     - The million-rank fig7 run must peak below 1 GiB RSS: the factorized
       fold contract promises no O(p²) state at p = 2^20.
+    - The fig7, dynamics and warm-store sections, once they ran, must
+      carry their measured value (peak_rss_bytes, speedup_p50, speedup);
+      a missing one fails.
     - The cell-graph scheduler must cut fig6 wall-clock >= 2x at 8
       worker threads vs 1 — enforced only on hosts with >= 8 cores.
     - A warm artifact-store rerun of table1_nfi must beat the cold run
@@ -435,6 +438,15 @@ def check_gates(result, previous, smoke):
         if s is not None and s < fold_floor:
             failures.append(f"fold/{topo}: factorized vs cold-dense speedup "
                             f"{s:.2f}x < {fold_floor}x floor")
+
+    # The dynamics, warm-store and fig7 gates fail closed like the
+    # sparse/dense one: a section that ran without its measured value
+    # (renamed field, dropped attachment) is a failure, not a skip.
+    for section, field in (("fig7_scaling", "peak_rss_bytes"),
+                           ("dynamics", "speedup_p50"),
+                           ("warm_store", "speedup")):
+        if section in result and result[section].get(field) is None:
+            failures.append(f"{section}: ran but recorded no {field}")
 
     rss = result.get("fig7_scaling", {}).get("peak_rss_bytes")
     if rss is not None and rss >= 1 << 30:
@@ -553,10 +565,12 @@ def sweep_comparison(build_dir, name, extra, threads):
 
     The two paths must produce bit-identical ACD cells (the engine folds
     exact integer histograms, so reuse never changes the arithmetic) —
-    any difference is a correctness bug and aborts. A run whose cache
-    records zero hits means the engine stopped sharing artifacts across
-    cells, which defeats its purpose — that also aborts, and doubles as
-    the CI assertion on the hit counters.
+    any difference is a correctness bug and aborts. A run that records
+    zero hits means the engine stopped sharing artifacts across cells,
+    which defeats its purpose — that also aborts, and doubles as the CI
+    assertion on the hit counters. So does a live-byte peak that is not
+    below the bytes the run built: the engine frees each artifact at its
+    last use, and a peak equal to the total means nothing was freed.
     """
     binary = os.path.join(build_dir, "bench", name)
     if not os.path.exists(binary):
@@ -572,6 +586,9 @@ def sweep_comparison(build_dir, name, extra, threads):
     cache = reused["study"]["sweep"]
     if cache["hits"] == 0:
         sys.exit(f"error: {name}: sweep engine recorded zero cache hits")
+    if not 0 < cache["peak_bytes"] < cache["built_bytes"]:
+        sys.exit(f"error: {name}: live-byte peak {cache['peak_bytes']} is "
+                 f"not below the {cache['built_bytes']} bytes built")
     metrics = reused.get("metrics")
     if not metrics or "sweep.cache.peak_bytes" not in metrics.get("gauges",
                                                                   {}):
@@ -857,8 +874,9 @@ def main():
     for name, s in result.get("sweep_engine", {}).items():
         print(f"  sweep/{name}: {s['reuse_seconds']:.2f}s reuse vs "
               f"{s['direct_seconds']:.2f}s direct ({s['speedup']:.2f}x), "
-              f"{s['cache']['hits']} cache hits / "
-              f"{s['cache']['misses']} misses")
+              f"{s['cache']['hits']} hits / {s['cache']['misses']} builds, "
+              f"peak {s['cache']['peak_bytes']} of "
+              f"{s['cache']['built_bytes']} bytes built")
     sched = result.get("scheduler_scaling")
     if sched and sched.get("speedup") is not None:
         print(f"  scheduler: {sched['serial_seconds']:.2f}s @1 thread vs "

@@ -1,12 +1,13 @@
 // artifact_store.hpp — the crash-safe on-disk tier under the sweep
-// engine's in-memory artifact cache.
+// engine's study graph.
 //
 // Every run of a study bench rebuilds the same expensive stage artifacts
 // (canonical samples, orderings, instances, NFI/FFI histograms) because
-// the byte-budgeted LRU dies with the process. The store persists those
-// artifacts as one file per (stage, content key), so a warm rerun — same
-// parameters, same build — deserializes instead of recomputing. It is a
-// cache, not a database: every failure mode (absent file, truncated
+// the in-memory graph frees each one at its last use and dies with the
+// process. The store persists those artifacts as one file per (stage,
+// content key), written as each graph node completes, so a warm rerun —
+// same parameters, same build — deserializes instead of recomputing. It
+// is a cache, not a database: every failure mode (absent file, truncated
 // write, bit rot, foreign build, version skew) is silently a miss, and
 // the engine recomputes.
 //
@@ -68,7 +69,7 @@ class ArtifactStore {
     std::uint64_t hits = 0;        ///< validated loads
     std::uint64_t misses = 0;      ///< probes with no (valid) file
     std::uint64_t corrupt = 0;     ///< probes that found an invalid file
-    std::uint64_t spills = 0;      ///< artifacts written (evictions+flush)
+    std::uint64_t spills = 0;      ///< artifacts written
     std::uint64_t spilled_bytes = 0;
     std::uint64_t read_bytes = 0;
     std::uint64_t evicted_files = 0;  ///< files deleted by the budget
@@ -129,7 +130,7 @@ class ArtifactStore {
   std::optional<Mapping> load(SweepStage stage, std::uint64_t key);
 
   /// Whether a file for (stage, key) is indexed (no validation, no
-  /// counter traffic) — the spill/flush paths use this to skip rewrites.
+  /// counter traffic) — the sweep uses this to skip rewrites.
   bool contains(SweepStage stage, std::uint64_t key) const;
 
   /// Persist an artifact payload: temp file + fsync + rename, then
@@ -144,7 +145,7 @@ class ArtifactStore {
   /// --json document under "artifact_store".
   std::string json() const;
   /// sweep.store.* gauges (set, not accumulated — same discipline as the
-  /// sweep.cache.* family).
+  /// sweep.cache.* gauges).
   void publish_metrics() const;
 
   /// FNV-1a over the payload bytes (the header checksum).

@@ -13,27 +13,20 @@
 namespace sfc::core {
 
 /// Tables I/II layout: processor order down, particle order across.
-util::Table combination_table(const CombinationStudyResult& result,
+util::Table combination_table(const StudyResult& result,
                               std::size_t dist_index, bool far_field);
 
 /// Figure 6 layout: one row per topology, one column per curve.
-util::Table topology_table(const TopologyStudyResult& result,
-                           bool far_field);
+util::Table topology_table(const StudyResult& result, bool far_field);
 
 /// Figure 7 layout: one row per processor count, one column per curve.
-util::Table scaling_table(const ScalingStudyResult& result, bool far_field);
-
-// Sweep-engine overloads: the same layouts built straight from a
-// StudyResult (what the bench harnesses consume since the Study API).
-util::Table combination_table(const StudyResult& result,
-                              std::size_t dist_index, bool far_field);
-util::Table topology_table(const StudyResult& result, bool far_field);
 util::Table scaling_table(const StudyResult& result, bool far_field);
 
 /// Machine-readable JSON document for a sweep-engine run: the study
 /// description, one record per grid cell (across-trial mean ACDs plus
-/// 95% CI half-widths), and the engine's cache accounting
-/// (per-stage hit/miss counters, evictions, byte high-water mark).
+/// 95% CI half-widths), and the engine's artifact accounting
+/// (per-stage hit/build counters, built bytes, live-byte high-water
+/// mark).
 std::string study_json(const StudyResult& result);
 
 /// Figure 5 layout: one row per resolution, one column per curve.

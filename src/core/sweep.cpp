@@ -1,12 +1,15 @@
 #include "core/sweep.hpp"
 
+#include <array>
 #include <atomic>
-#include <bit>
+#include <cassert>
 #include <cstring>
 #include <deque>
 #include <initializer_list>
+#include <memory>
 #include <optional>
 #include <stdexcept>
+#include <unordered_map>
 
 #include "core/artifact_store.hpp"
 #include "core/dynamic_acd.hpp"
@@ -41,130 +44,6 @@ std::string_view sweep_stage_name(SweepStage stage) noexcept {
   return "unknown";
 }
 
-std::shared_ptr<const void> ArtifactCache::lookup(SweepStage stage,
-                                                 std::uint64_t key) {
-  const unsigned idx = static_cast<unsigned>(stage);
-  Shard& sh = shard_of(key);
-  std::unique_lock<std::mutex> lk(sh.mutex);
-  const auto it = sh.map.find(key);
-  if (it == sh.map.end()) {
-    lk.unlock();
-    misses_[idx].fetch_add(1, std::memory_order_relaxed);
-    return nullptr;
-  }
-  it->second.touch_seq =
-      touch_seq_.fetch_add(1, std::memory_order_relaxed) + 1;
-  // Touch timestamps exist only for the eviction-age histogram, so the
-  // clock read follows the metrics gate (same discipline as the pool).
-  if (obs::metrics_enabled()) it->second.last_touch_ns = obs::now_ns();
-  std::shared_ptr<const void> value = it->second.value;
-  lk.unlock();
-  hits_[idx].fetch_add(1, std::memory_order_relaxed);
-  return value;
-}
-
-void ArtifactCache::insert(SweepStage stage, std::uint64_t key,
-                           std::uint64_t raw_key,
-                           std::shared_ptr<const void> value,
-                           std::size_t bytes) {
-  const unsigned idx = static_cast<unsigned>(stage);
-  Entry fresh{std::move(value),
-              bytes,
-              stage,
-              raw_key,
-              obs::metrics_enabled() ? obs::now_ns() : 0,
-              touch_seq_.fetch_add(1, std::memory_order_relaxed) + 1};
-  {
-    Shard& sh = shard_of(key);
-    std::lock_guard<std::mutex> lk(sh.mutex);
-    Entry& slot = sh.map[key];
-    if (slot.value != nullptr) {
-      // Same-key overwrite: retire the replaced payload's accounting.
-      bytes_.fetch_sub(slot.bytes, std::memory_order_relaxed);
-      stage_bytes_[static_cast<unsigned>(slot.stage)].fetch_sub(
-          slot.bytes, std::memory_order_relaxed);
-    } else {
-      entries_.fetch_add(1, std::memory_order_relaxed);
-    }
-    slot = std::move(fresh);
-  }
-  const std::size_t resident =
-      bytes_.fetch_add(bytes, std::memory_order_relaxed) + bytes;
-  stage_bytes_[idx].fetch_add(bytes, std::memory_order_relaxed);
-  std::size_t peak = peak_bytes_.load(std::memory_order_relaxed);
-  while (resident > peak &&
-         !peak_bytes_.compare_exchange_weak(peak, resident,
-                                            std::memory_order_relaxed)) {
-  }
-  evict_to_budget();
-}
-
-void ArtifactCache::evict_to_budget() {
-  if (bytes_.load(std::memory_order_relaxed) <= budget_) return;
-  std::lock_guard<std::mutex> ev(evict_mutex_);
-  const bool metrics = obs::metrics_enabled();
-  // Evict the globally least-recently-touched entry until within budget.
-  // The entry just inserted carries the maximum recency stamp and is
-  // never the victim while anything else is resident; an over-budget
-  // artifact simply leaves the cache holding only itself.
-  while (bytes_.load(std::memory_order_relaxed) > budget_ &&
-         entries_.load(std::memory_order_relaxed) > 1) {
-    std::uint64_t victim_seq = ~std::uint64_t{0};
-    std::size_t victim_shard = 0;
-    std::uint64_t victim_key = 0;
-    for (std::size_t i = 0; i < kShardCount; ++i) {
-      std::lock_guard<std::mutex> lk(shards_[i].mutex);
-      for (const auto& [k, e] : shards_[i].map) {
-        if (e.touch_seq < victim_seq) {
-          victim_seq = e.touch_seq;
-          victim_shard = i;
-          victim_key = k;
-        }
-      }
-    }
-    if (victim_seq == ~std::uint64_t{0}) return;
-    Entry victim;
-    {
-      Shard& sh = shards_[victim_shard];
-      std::lock_guard<std::mutex> lk(sh.mutex);
-      const auto it = sh.map.find(victim_key);
-      // A concurrent hit may have re-warmed the candidate between the
-      // scan and this lock; rescan rather than evict a hot entry.
-      if (it == sh.map.end() || it->second.touch_seq != victim_seq) continue;
-      victim = std::move(it->second);
-      sh.map.erase(it);
-    }
-    entries_.fetch_sub(1, std::memory_order_relaxed);
-    bytes_.fetch_sub(victim.bytes, std::memory_order_relaxed);
-    stage_bytes_[static_cast<unsigned>(victim.stage)].fetch_sub(
-        victim.bytes, std::memory_order_relaxed);
-    evictions_.fetch_add(1, std::memory_order_relaxed);
-    if (metrics && victim.last_touch_ns != 0) {
-      // How long the victim sat cold: small ages mean the budget is
-      // thrashing artifacts that were just used.
-      obs::Registry::instance()
-          .histogram("sweep.cache.eviction_age_ns")
-          .record(obs::now_ns() - victim.last_touch_ns);
-    }
-    if (spill_) {
-      spill_(victim.stage, victim.raw_key, victim.value, victim.bytes);
-    }
-  }
-}
-
-SweepStats ArtifactCache::stats() const {
-  SweepStats out;
-  for (unsigned i = 0; i < kSweepStageCount; ++i) {
-    out.stages[i].hits = hits_[i].load(std::memory_order_relaxed);
-    out.stages[i].misses = misses_[i].load(std::memory_order_relaxed);
-    out.stage_bytes[i] = stage_bytes_[i].load(std::memory_order_relaxed);
-  }
-  out.evictions = evictions_.load(std::memory_order_relaxed);
-  out.bytes = bytes_.load(std::memory_order_relaxed);
-  out.peak_bytes = peak_bytes_.load(std::memory_order_relaxed);
-  return out;
-}
-
 namespace {
 
 /// Chain a field list into one 64-bit content key.
@@ -174,18 +53,17 @@ std::uint64_t key_of(std::initializer_list<std::uint64_t> fields) {
   return h;
 }
 
-/// Publish the run's cache accounting into the metrics registry: resident
-/// and peak bytes, evictions, and one hit-ratio gauge per pipeline stage.
-/// Gauges are set (not accumulated), so the snapshot always describes the
-/// most recent run in this process.
+/// Publish the run's artifact accounting into the metrics registry:
+/// built and peak live bytes, and one hit-ratio gauge per pipeline
+/// stage. Gauges are set (not accumulated), so the snapshot always
+/// describes the most recent run in this process.
 void publish_sweep_metrics(const SweepStats& stats) {
   if (!obs::metrics_enabled()) return;
   obs::Registry& reg = obs::Registry::instance();
-  reg.gauge("sweep.cache.bytes").set(static_cast<double>(stats.bytes));
+  reg.gauge("sweep.cache.built_bytes")
+      .set(static_cast<double>(stats.built_bytes));
   reg.gauge("sweep.cache.peak_bytes")
       .set(static_cast<double>(stats.peak_bytes));
-  reg.gauge("sweep.cache.evictions")
-      .set(static_cast<double>(stats.evictions));
   for (unsigned i = 0; i < kSweepStageCount; ++i) {
     const auto stage = static_cast<SweepStage>(i);
     const StageCounters& c = stats.stage(stage);
@@ -194,16 +72,9 @@ void publish_sweep_metrics(const SweepStats& stats) {
         "sweep.stage." + std::string(sweep_stage_name(stage));
     reg.gauge(base + ".hit_ratio").set(c.hit_ratio());
   }
-  for (unsigned i = 0; i < kSweepStageCount; ++i) {
-    const auto stage = static_cast<SweepStage>(i);
-    if (stats.bytes_of(stage) == 0) continue;
-    reg.gauge("sweep.cache.stage." +
-              std::string(sweep_stage_name(stage)) + ".bytes")
-        .set(static_cast<double>(stats.bytes_of(stage)));
-  }
 }
 
-/// Span names per cached stage (string literals: obs::Span requires
+/// Span names per stage (string literals: obs::Span requires
 /// static lifetime). Indexed like SweepStats::stages.
 constexpr const char* kStageSpanNames[kSweepStageCount] = {
     "sweep/sample",        "sweep/canonical",     "sweep/ordering",
@@ -335,41 +206,39 @@ Ordering2 make_ordering(const std::vector<Point2>& canonical, unsigned level,
 
 // ------------------------------------------------------------- cell graph
 
-/// One node of the study's task graph: a stage artifact to materialize,
-/// either by computing it or by deserializing a store payload validated
-/// and pinned at plan time. The coordinator creates every node during
-/// the plan walk; execution only reads the graph shape and writes
-/// outputs, so the only cross-thread state is `pending` and `output`
-/// (ordered by the dependency hand-off).
+struct PlanNode;
+
+/// Materializer of one node: sets its output and bytes.
+using Builder = std::function<void(PlanNode&)>;
+
+/// One node of the study graph: a stage artifact to materialize, either
+/// by computing it or by deserializing a store payload validated and
+/// pinned at plan time. The coordinator creates every node and edge
+/// during the plan walk; execution only runs builders and hands outputs
+/// on, so the cross-thread state is the two counters and `output`
+/// (ordered by the counters' acq_rel hand-offs).
 struct PlanNode {
   SweepStage stage = SweepStage::kSample;
   std::uint64_t raw_key = 0;  ///< un-mixed stage key (the store address)
-  /// Materializer: sets output and bytes. Runs exactly once, on
-  /// whichever thread the scheduler hands the node to.
-  std::function<void(PlanNode&)> build;
+  /// Runs exactly once, on whichever thread the scheduler hands the node
+  /// to, and is dropped with its captures right after.
+  Builder build;
   std::shared_ptr<const void> output;
   std::size_t bytes = 0;
   bool from_store = false;
   ArtifactStore::Mapping mapping;  ///< pinned store payload (load nodes)
-  std::vector<PlanNode*> consumers;
-  std::atomic<unsigned> pending{0};  ///< unfinished producers
+  std::vector<PlanNode*> inputs;     ///< every node the builder reads
+  std::vector<PlanNode*> consumers;  ///< nodes waiting for this build
+  std::atomic<unsigned> pending{0};  ///< inputs not yet built
+  /// Readers (consumer builds, drain jobs) not yet finished; the output
+  /// is freed when it reaches zero.
+  std::atomic<unsigned> uses{0};
 };
 
 template <typename T>
 std::shared_ptr<const T> out_as(const PlanNode* node) {
   return std::static_pointer_cast<const T>(node->output);
 }
-
-/// One entry of the deterministic accounting replay: the exact cache
-/// operation the serial engine would have performed at this point of the
-/// grid walk.
-struct CacheOp {
-  enum Kind { kFind, kPut, kCountFold };
-  Kind kind = kFind;
-  SweepStage stage = SweepStage::kSample;
-  std::uint64_t raw_key = 0;
-  PlanNode* node = nullptr;  ///< kPut: the materialized artifact
-};
 
 /// One cell of the drain pass (results, statistics, progress) in grid
 /// order.
@@ -391,11 +260,10 @@ struct FoldOut {
 
 /// Stages with an on-disk representation. kSample is superseded by
 /// kCanonical (same content, already cell-sorted); kTopology is cheap to
-/// rebuild and validation must stay on the coordinator; kDelta artifacts
-/// are keyed per trajectory prefix and stay in-memory. kFold persists
-/// its two doubles: tiny payloads, but at warm-start time the folds are
-/// the one remaining recompute, so skipping them is what turns a warm
-/// rerun into pure deserialization.
+/// rebuild and validation must stay on the coordinator; kDelta is never
+/// a sweep artifact. kFold persists its two doubles: tiny payloads, but
+/// at warm-start time the folds are the one remaining recompute, so
+/// skipping them is what turns a warm rerun into pure deserialization.
 bool store_persistable(SweepStage stage) noexcept {
   switch (stage) {
     case SweepStage::kCanonical:
@@ -497,8 +365,7 @@ std::vector<std::uint8_t> serialize_artifact(SweepStage stage,
 /// Deserializer for a store-loaded node of `stage`. The returned builder
 /// reconstructs the artifact from the pinned mapping and releases the
 /// mapping immediately after.
-std::function<void(PlanNode&)> store_load_build(SweepStage stage,
-                                                unsigned level) {
+Builder store_load_build(SweepStage stage, unsigned level) {
   switch (stage) {
     case SweepStage::kCanonical:
       return [level](PlanNode& n) {
@@ -607,82 +474,370 @@ std::function<void(PlanNode&)> store_load_build(SweepStage stage,
   }
 }
 
-/// The artifact-reusing engine path: plan the whole study as a task
-/// graph on the coordinator (grid order, exactly the serial walk), run
-/// every node on the pool with dependency counters, then replay the
-/// cache accounting and drain results serially — so independent cells
-/// execute concurrently end-to-end while results, statistics, progress
-/// order, and SweepStats stay bit-identical to the serial engine.
+/// The study graph and its bookkeeping: one node per distinct artifact,
+/// the per-stage hit/build counts of the plan walk, and the live-byte
+/// accounting of execution. Every artifact is freed when its last reader
+/// finishes and written to the store when its node completes.
+class StudyGraph {
+ public:
+  StudyGraph(ArtifactStore* store, unsigned level)
+      : store_(store), level_(level) {}
+
+  /// Plan-walk lookup of (stage, key). A node already planned under it
+  /// is a hit; otherwise a new node is a build, answered by the store
+  /// when it holds a valid payload and otherwise by `plan`, which sets
+  /// the builder and links the inputs (or materializes the artifact on
+  /// the spot).
+  template <typename PlanFn>
+  PlanNode* lookup(SweepStage stage, std::uint64_t key, PlanFn&& plan) {
+    StageCounters& counts = stats_.stage(stage);
+    auto& planned = planned_[static_cast<unsigned>(stage)];
+    if (const auto found = planned.find(key); found != planned.end()) {
+      ++counts.hits;
+      return found->second;
+    }
+    ++counts.misses;
+    PlanNode* node = &nodes_.emplace_back();
+    node->stage = stage;
+    node->raw_key = key;
+    planned.emplace(key, node);
+    if (!probe_store(*node)) plan(*node);
+    if (node->output != nullptr) account(*node);
+    return node;
+  }
+
+  /// Record that `node` reads `inputs` (null entries skipped): each input
+  /// gains a use, and one not yet materialized also gates the node.
+  void link(PlanNode& node, std::initializer_list<PlanNode*> inputs) {
+    for (PlanNode* in : inputs) {
+      if (in == nullptr) continue;
+      node.inputs.push_back(in);
+      in->uses.fetch_add(1, std::memory_order_relaxed);
+      if (in->output == nullptr) {
+        in->consumers.push_back(&node);
+        node.pending.fetch_add(1, std::memory_order_relaxed);
+      }
+    }
+  }
+
+  /// A reader outside the graph (a drain job) takes one use of `node`.
+  void use(PlanNode& node) {
+    node.uses.fetch_add(1, std::memory_order_relaxed);
+  }
+
+  /// A reader of `node` has finished; the last one frees the output.
+  void done_reading(PlanNode& node) {
+    if (node.uses.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+      release(node);
+    }
+  }
+
+  /// Run every node that plan time did not materialize.
+  void execute(util::ThreadPool* pool) {
+    std::vector<PlanNode*> roots;
+    std::size_t runnable = 0;
+    for (PlanNode& n : nodes_) {
+      if (n.output != nullptr) {
+        // A pre-built topology whose every reader came from the store.
+        if (n.uses.load(std::memory_order_relaxed) == 0) release(n);
+        continue;
+      }
+      ++runnable;
+      if (n.pending.load(std::memory_order_relaxed) == 0) roots.push_back(&n);
+    }
+    if (pool == nullptr || pool->size() <= 1) {
+      // Breadth first: interleaving frees with the next builds (depth
+      // first) lets the allocator hand freed pages back to the kernel
+      // only to fault them in again — on a 7,812-particle, p = 65,536
+      // FFI sweep (4-CPU Xeon VM, glibc malloc), 9.6k minor faults a
+      // sweep against 6.4k-6.8k in this order.
+      std::vector<PlanNode*> ready(roots);
+      for (std::size_t i = 0; i < ready.size(); ++i) {
+        PlanNode* n = ready[i];
+        complete(*n);
+        for (PlanNode* c : n->consumers) {
+          if (c->pending.fetch_sub(1, std::memory_order_relaxed) == 1) {
+            ready.push_back(c);
+          }
+        }
+      }
+      return;
+    }
+    if (runnable == 0) return;
+    util::Latch done(runnable);
+    // Roots are snapshotted before any is submitted: once a root runs,
+    // its completions drive consumers to zero, and a live scan would
+    // submit those twice.
+    for (PlanNode* n : roots) {
+      pool->submit([this, pool, &done, n] { run_chain(*pool, done, n); });
+    }
+    done.wait_and_help(util::can_help(*pool) ? pool : nullptr);
+  }
+
+  /// The run's accounting. Call after the drain has read every fold.
+  SweepStats stats() const {
+    assert(live_bytes_.load() == 0 && "an artifact outlived its readers");
+    SweepStats out = stats_;
+    for (const PlanNode& n : nodes_) out.built_bytes += n.bytes;
+    out.peak_bytes = peak_bytes_.load(std::memory_order_relaxed);
+    return out;
+  }
+
+ private:
+  // Store probe for a planned build: a validated payload turns the node
+  // into a cheap deserialize; the mapping pins the bytes until then.
+  bool probe_store(PlanNode& node) {
+    if (store_ == nullptr || !store_persistable(node.stage)) return false;
+    auto mapping = store_->load(node.stage, node.raw_key);
+    if (!mapping) return false;
+    node.mapping = std::move(*mapping);
+    node.from_store = true;
+    node.build = store_load_build(node.stage, level_);
+    return true;
+  }
+
+  /// Build `node` and continue depth first with one consumer it made
+  /// ready; the others go to the pool.
+  void run_chain(util::ThreadPool& pool, util::Latch& done, PlanNode* node) {
+    while (node != nullptr) {
+      complete(*node);
+      PlanNode* next = nullptr;
+      for (PlanNode* c : node->consumers) {
+        // acq_rel: the consumer's build must observe every input,
+        // whichever thread finished last.
+        if (c->pending.fetch_sub(1, std::memory_order_acq_rel) != 1) continue;
+        if (next == nullptr) {
+          next = c;
+        } else {
+          pool.submit([this, &pool, &done, c] { run_chain(pool, done, c); });
+        }
+      }
+      done.count_down();
+      node = next;
+    }
+  }
+
+  /// Materialize `node`, persist it, and hand back the inputs it read.
+  void complete(PlanNode& node) {
+    node.build(node);
+    node.build = nullptr;
+    account(node);
+    if (store_ != nullptr && !node.from_store &&
+        store_persistable(node.stage) &&
+        !store_->contains(node.stage, node.raw_key)) {
+      const std::vector<std::uint8_t> payload =
+          serialize_artifact(node.stage, node.output.get());
+      store_->save(node.stage, node.raw_key, payload.data(), payload.size());
+    }
+    for (PlanNode* in : node.inputs) done_reading(*in);
+    // No consumer can have started yet, so zero uses means no reader.
+    if (node.uses.load(std::memory_order_relaxed) == 0) release(node);
+  }
+
+  void account(const PlanNode& node) {
+    const std::size_t live =
+        live_bytes_.fetch_add(node.bytes, std::memory_order_relaxed) +
+        node.bytes;
+    std::size_t peak = peak_bytes_.load(std::memory_order_relaxed);
+    while (live > peak &&
+           !peak_bytes_.compare_exchange_weak(peak, live,
+                                              std::memory_order_relaxed)) {
+    }
+  }
+
+  void release(PlanNode& node) {
+    node.output.reset();
+    live_bytes_.fetch_sub(node.bytes, std::memory_order_relaxed);
+  }
+
+  ArtifactStore* store_;
+  unsigned level_;
+  std::deque<PlanNode> nodes_;  // deque: node addresses must be stable
+  std::array<std::unordered_map<std::uint64_t, PlanNode*>, kSweepStageCount>
+      planned_;
+  SweepStats stats_;
+  std::atomic<std::size_t> live_bytes_{0};
+  std::atomic<std::size_t> peak_bytes_{0};
+};
+
+// Builders of the computed stages. Each captures the nodes it reads.
+
+Builder sample_builder(dist::DistKind kind, std::size_t count, unsigned level,
+                       std::uint64_t seed) {
+  return [=](PlanNode& n) {
+    const obs::Span span(stage_span_name(SweepStage::kSample));
+    dist::SampleConfig cfg;
+    cfg.count = count;
+    cfg.level = level;
+    cfg.seed = seed;
+    auto pts =
+        std::make_shared<const Sample2>(dist::sample_particles<2>(kind, cfg));
+    n.bytes = pts->capacity() * sizeof(Point2);
+    n.output = std::move(pts);
+  };
+}
+
+Builder canonical_builder(const PlanNode* sample, unsigned level,
+                          util::ThreadPool* pool) {
+  return [=](PlanNode& n) {
+    const obs::Span span(stage_span_name(SweepStage::kCanonical));
+    const auto raw = out_as<Sample2>(sample);
+    auto canon = std::make_shared<const CanonicalSample2>(
+        canonical_order(*raw, level, pool), level);
+    n.bytes = canon->memory_bytes();
+    n.output = std::move(canon);
+  };
+}
+
+/// Ordering-stage throughput for the sweep.stage.order.ns_per_particle
+/// gauge: every computed ordering adds its wall time and particle count.
+struct OrderThroughput {
+  std::atomic<std::uint64_t> ns{0};
+  std::atomic<std::uint64_t> particles{0};
+};
+
+Builder ordering_builder(const PlanNode* canonical, CurveKind kind,
+                         unsigned level, OrderThroughput* throughput) {
+  return [=](PlanNode& n) {
+    const obs::Span span(stage_span_name(SweepStage::kOrdering));
+    const std::uint64_t t0 = obs::now_ns();
+    const auto canon = out_as<CanonicalSample2>(canonical);
+    const auto curve = make_curve<2>(kind);
+    auto built = std::make_shared<const Ordering2>(
+        make_ordering(canon->particles, level, *curve));
+    throughput->ns.fetch_add(obs::now_ns() - t0, std::memory_order_relaxed);
+    throughput->particles.fetch_add(canon->particles.size(),
+                                    std::memory_order_relaxed);
+    n.bytes = built->memory_bytes();
+    n.output = std::move(built);
+  };
+}
+
+/// The FFI tree walk is the one consumer that needs the particles
+/// physically in curve order; they are scattered through the rank table
+/// instead of re-sorted (the sequence is identical).
+Builder instance_builder(const PlanNode* canonical, const PlanNode* ordering,
+                         unsigned level) {
+  return [=](PlanNode& n) {
+    const obs::Span span(stage_span_name(SweepStage::kInstance));
+    const auto canon = out_as<CanonicalSample2>(canonical);
+    const auto ord = out_as<Ordering2>(ordering);
+    std::vector<Point2> sorted(canon->particles.size());
+    for (std::size_t i = 0; i < sorted.size(); ++i) {
+      sorted[ord->rank[i]] = canon->particles[i];
+    }
+    auto built = std::make_shared<const AcdInstance<2>>(
+        AcdInstance<2>::from_sorted(std::move(sorted), level));
+    n.bytes = built->memory_bytes();
+    n.output = std::move(built);
+  };
+}
+
+Builder nfi_builder(const PlanNode* canonical, const PlanNode* ordering,
+                    topo::Rank procs, unsigned radius, fmm::NeighborNorm norm,
+                    util::ThreadPool* pool) {
+  return [=](PlanNode& n) {
+    const obs::Span span(stage_span_name(SweepStage::kNfiHistogram));
+    const auto canon = out_as<CanonicalSample2>(canonical);
+    const auto ord = out_as<Ordering2>(ordering);
+    // Owner of canonical particle i: the partition chunk its curve rank
+    // falls in.
+    const fmm::Partition part(canon->particles.size(), procs);
+    const std::vector<topo::Rank> by_rank = part.owner_table();
+    std::vector<topo::Rank> owners(canon->particles.size());
+    for (std::size_t i = 0; i < owners.size(); ++i) {
+      owners[i] = by_rank[ord->rank[i]];
+    }
+    auto hist = std::make_shared<const RankPairAccumulator>(
+        fmm::nfi_histogram_owners<2>(canon->particles, canon->grid, owners,
+                                     procs, radius, norm, pool));
+    hist->seal();
+    n.bytes = hist->memory_bytes();
+    n.output = std::move(hist);
+  };
+}
+
+Builder ffi_builder(const PlanNode* instance, topo::Rank procs,
+                    util::ThreadPool* pool) {
+  return [=](PlanNode& n) {
+    const obs::Span span(stage_span_name(SweepStage::kFfiHistogram));
+    const auto inst = out_as<AcdInstance<2>>(instance);
+    const fmm::Partition part(inst->particles().size(), procs);
+    auto hist = std::make_shared<const fmm::FfiHistograms>(
+        fmm::ffi_histograms<2>(inst->tree(), part, pool));
+    hist->interpolation.seal();
+    hist->interaction.seal();
+    n.bytes = hist->memory_bytes();
+    n.output = std::move(hist);
+  };
+}
+
+Builder fold_builder(const PlanNode* net, const PlanNode* nfi,
+                     const PlanNode* ffi) {
+  return [=](PlanNode& n) {
+    const std::uint64_t t0 = obs::now_ns();
+    const obs::Span span(stage_span_name(SweepStage::kFold));
+    const auto network = out_as<topo::Topology>(net);
+    auto out = std::make_shared<FoldOut>();
+    if (nfi != nullptr) {
+      out->nfi_acd =
+          network->fold(out_as<RankPairAccumulator>(nfi)->view()).acd();
+      out->has_nfi = true;
+    }
+    if (ffi != nullptr) {
+      out->ffi_acd =
+          fmm::ffi_fold(*out_as<fmm::FfiHistograms>(ffi), *network)
+              .total()
+              .acd();
+      out->has_ffi = true;
+    }
+    out->ms = static_cast<double>(obs::now_ns() - t0) / 1e6;
+    n.bytes = sizeof(FoldOut);
+    n.output = std::move(out);
+  };
+}
+
+/// Topologies are built at plan time: they are cheap, and
+/// make_topology's argument validation must throw on the coordinator,
+/// never inside a pool task.
+void build_topology(PlanNode& node, topo::TopologyKind kind, topo::Rank procs,
+                    CurveKind ranking_kind, topo::FoldStrategy planned_fold) {
+  const obs::Span span(stage_span_name(SweepStage::kTopology));
+  const auto ranking = make_curve<2>(ranking_kind);
+  std::shared_ptr<const topo::Topology> net =
+      topo::make_topology<2>(kind, procs, ranking.get());
+  // Payload estimate: per-rank coordinates plus the hop table only a
+  // dense-strategy fold would materialize (factorized kernels never touch
+  // p×p state).
+  node.bytes = static_cast<std::size_t>(procs) * 2 * sizeof(topo::Rank);
+  if (planned_fold == topo::FoldStrategy::kDense) {
+    node.bytes +=
+        static_cast<std::size_t>(procs) * procs * sizeof(std::uint32_t);
+  }
+  node.output = std::move(net);
+}
+
+/// The artifact-reusing engine path: plan the whole study as a graph on
+/// the coordinator (grid order), run it on the pool, then drain results
+/// serially in grid order — so independent cells execute concurrently
+/// end-to-end while results, statistics and progress order stay
+/// bit-identical to the from-scratch path.
 StudyResult run_reuse(const Study& s, const SweepOptions& o) {
   StudyResult result;
   result.study = s;
   result.cells.assign(s.cell_count(), AcdCell{});
   result.stats.assign(s.cell_count(), AcdCellStats{});
 
-  ArtifactCache cache(o.cache_bytes);
-  ArtifactStore* store = o.store;
+  StudyGraph graph(o.store, s.level);
   util::ThreadPool* pool = o.pool;
-  const bool parallel = pool != nullptr && pool->size() > 1;
   const double trials = s.trials;
-  const std::size_t nrc = s.processor_order_count();
-
-  // Ordering-stage throughput accounting for the
-  // sweep.stage.order.ns_per_particle gauge: every cache-miss ordering
-  // build adds its span-clock wall time and particle count.
-  std::atomic<std::uint64_t> order_build_ns{0};
-  std::atomic<std::uint64_t> order_build_particles{0};
+  OrderThroughput order_throughput;
 
   // ---- plan -------------------------------------------------------
-  // One pass over the study grid on the coordinator, in the serial
-  // engine's exact order. Every artifact becomes a node (deduped by
-  // stage key); every cache operation the serial engine would perform
-  // is recorded in `ops` at its exact site, to be replayed after
-  // execution — so the SweepStats counters are deterministic whatever
-  // the scheduling.
-  std::deque<PlanNode> nodes;  // deque: node addresses must be stable
-  std::vector<CacheOp> ops;
+  // One pass over the study grid on the coordinator. Every lookup of a
+  // stage key either shares the node already planned under it or plans
+  // the one build of that artifact.
   std::vector<DrainJob> drain;
-  std::array<std::unordered_map<std::uint64_t, PlanNode*>, kSweepStageCount>
-      planned;
-  auto planned_of =
-      [&planned](SweepStage stage) -> std::unordered_map<std::uint64_t,
-                                                         PlanNode*>& {
-    return planned[static_cast<unsigned>(stage)];
-  };
-  auto make_node = [&nodes](SweepStage stage,
-                            std::uint64_t raw_key) -> PlanNode* {
-    PlanNode& n = nodes.emplace_back();
-    n.stage = stage;
-    n.raw_key = raw_key;
-    return &n;
-  };
-  auto link = [](PlanNode* node, std::initializer_list<PlanNode*> deps) {
-    unsigned count = 0;
-    for (PlanNode* dep : deps) {
-      if (dep == nullptr || dep->output != nullptr) continue;
-      dep->consumers.push_back(node);
-      ++count;
-    }
-    node->pending.store(count, std::memory_order_relaxed);
-  };
-  auto find_op = [&ops](SweepStage stage, std::uint64_t key) {
-    ops.push_back(CacheOp{CacheOp::kFind, stage, key, nullptr});
-  };
-  auto put_op = [&ops](PlanNode* node) {
-    ops.push_back(CacheOp{CacheOp::kPut, node->stage, node->raw_key, node});
-  };
-  // Store probe for a planned miss: a validated payload turns the node
-  // into a cheap deserialize; the mapping pins the bytes until then.
-  auto probe_store = [store, level = s.level](PlanNode* node) -> bool {
-    if (store == nullptr || !store_persistable(node->stage)) return false;
-    auto mapping = store->load(node->stage, node->raw_key);
-    if (!mapping) return false;
-    node->mapping = std::move(*mapping);
-    node->from_store = true;
-    node->build = store_load_build(node->stage, level);
-    return true;
-  };
-
   for (std::size_t d = 0; d < s.distributions.size(); ++d) {
     for (unsigned t = 0; t < s.trials; ++t) {
       const std::uint64_t sample_key =
@@ -691,185 +846,74 @@ StudyResult run_reuse(const Study& s, const SweepOptions& o) {
 
       // Canonical spatial state for this (distribution, trial): the
       // cell-sorted sample and its occupancy grid, which every curve of
-      // the row shares. The serial engine's canonical builder starts
-      // with the sample lookup, so the sample ops nest inside the
-      // canonical miss.
-      find_op(SweepStage::kCanonical, sample_key);
-      PlanNode* canonical = nullptr;
-      if (const auto it = planned_of(SweepStage::kCanonical).find(sample_key);
-          it != planned_of(SweepStage::kCanonical).end()) {
-        canonical = it->second;
-      } else {
-        canonical = make_node(SweepStage::kCanonical, sample_key);
-        if (!probe_store(canonical)) {
-          find_op(SweepStage::kSample, sample_key);
-          PlanNode* sample = nullptr;
-          if (const auto sit = planned_of(SweepStage::kSample).find(sample_key);
-              sit != planned_of(SweepStage::kSample).end()) {
-            sample = sit->second;
-          } else {
-            sample = make_node(SweepStage::kSample, sample_key);
-            sample->build = [dk = s.distributions[d], count = s.particles,
-                             level = s.level,
-                             seed = util::substream_seed(s.seed, t)](
-                                PlanNode& n) {
-              const obs::Span span(stage_span_name(SweepStage::kSample));
-              dist::SampleConfig cfg;
-              cfg.count = count;
-              cfg.level = level;
-              cfg.seed = seed;
-              auto pts = std::make_shared<const Sample2>(
-                  dist::sample_particles<2>(dk, cfg));
-              n.bytes = pts->capacity() * sizeof(Point2);
-              n.output = std::move(pts);
-            };
-            put_op(sample);
-            planned_of(SweepStage::kSample).emplace(sample_key, sample);
-          }
-          canonical->build = [sample, level = s.level, pool](PlanNode& n) {
-            const obs::Span span(stage_span_name(SweepStage::kCanonical));
-            const auto raw = out_as<Sample2>(sample);
-            auto canon = std::make_shared<const CanonicalSample2>(
-                canonical_order(*raw, level, pool), level);
-            n.bytes = canon->memory_bytes();
-            n.output = std::move(canon);
-          };
-          link(canonical, {sample});
-        }
-        put_op(canonical);
-        planned_of(SweepStage::kCanonical).emplace(sample_key, canonical);
-      }
+      // the row shares. The raw sample is needed only to compute it.
+      PlanNode* canonical = graph.lookup(
+          SweepStage::kCanonical, sample_key, [&](PlanNode& node) {
+            PlanNode* sample = graph.lookup(
+                SweepStage::kSample, sample_key, [&](PlanNode& sn) {
+                  sn.build = sample_builder(s.distributions[d], s.particles,
+                                            s.level,
+                                            util::substream_seed(s.seed, t));
+                });
+            node.build = canonical_builder(sample, s.level, pool);
+            graph.link(node, {sample});
+          });
 
-      // Ordering (and, for FFI studies, instance) sites: lookups in pc
-      // order, then the misses in pc order — the serial engine's
-      // prefetch shape, so the counter sequence is identical.
-      const std::size_t npc = s.particle_curves.size();
-      std::vector<PlanNode*> orderings(npc, nullptr);
-      {
-        std::vector<std::size_t> missed;
-        for (std::size_t pc = 0; pc < npc; ++pc) {
-          const std::uint64_t order_key = sweep_key(
-              sample_key, static_cast<std::uint64_t>(s.particle_curves[pc]));
-          find_op(SweepStage::kOrdering, order_key);
-          if (const auto it = planned_of(SweepStage::kOrdering).find(order_key);
-              it != planned_of(SweepStage::kOrdering).end()) {
-            orderings[pc] = it->second;
-          } else {
-            missed.push_back(pc);
-          }
-        }
-        for (const std::size_t pc : missed) {
-          const CurveKind pkind = s.particle_curves[pc];
-          const std::uint64_t order_key =
-              sweep_key(sample_key, static_cast<std::uint64_t>(pkind));
-          if (const auto it = planned_of(SweepStage::kOrdering).find(order_key);
-              it != planned_of(SweepStage::kOrdering).end()) {
-            // Duplicate curve in the study row: one build, two puts —
-            // the same artifact the serial engine would re-put.
-            orderings[pc] = it->second;
-            put_op(it->second);
-            continue;
-          }
-          PlanNode* node = make_node(SweepStage::kOrdering, order_key);
-          if (!probe_store(node)) {
-            node->build = [canonical, pkind, level = s.level, &order_build_ns,
-                           &order_build_particles](PlanNode& n) {
-              const obs::Span span(stage_span_name(SweepStage::kOrdering));
-              const std::uint64_t t0 = obs::now_ns();
-              const auto canon = out_as<CanonicalSample2>(canonical);
-              const auto curve = make_curve<2>(pkind);
-              auto built = std::make_shared<const Ordering2>(
-                  make_ordering(canon->particles, level, *curve));
-              order_build_ns.fetch_add(obs::now_ns() - t0,
-                                       std::memory_order_relaxed);
-              order_build_particles.fetch_add(canon->particles.size(),
-                                              std::memory_order_relaxed);
-              n.bytes = built->memory_bytes();
-              n.output = std::move(built);
-            };
-            link(node, {canonical});
-          }
-          put_op(node);
-          planned_of(SweepStage::kOrdering).emplace(order_key, node);
-          orderings[pc] = node;
-        }
-      }
-
-      // The FFI tree walk is the one consumer that needs the particles
-      // physically in curve order; scatter them through the rank table
-      // instead of re-sorting (the sequence is identical). Near-field-
-      // only studies never build an instance at all.
-      std::vector<PlanNode*> instances(s.far_field ? npc : 0, nullptr);
-      if (s.far_field) {
-        std::vector<std::size_t> missed;
-        for (std::size_t pc = 0; pc < npc; ++pc) {
-          const std::uint64_t instance_key = sweep_key(
-              sample_key, static_cast<std::uint64_t>(s.particle_curves[pc]));
-          find_op(SweepStage::kInstance, instance_key);
-          if (const auto it =
-                  planned_of(SweepStage::kInstance).find(instance_key);
-              it != planned_of(SweepStage::kInstance).end()) {
-            instances[pc] = it->second;
-          } else {
-            missed.push_back(pc);
-          }
-        }
-        for (const std::size_t pc : missed) {
-          const std::uint64_t instance_key = sweep_key(
-              sample_key, static_cast<std::uint64_t>(s.particle_curves[pc]));
-          if (const auto it =
-                  planned_of(SweepStage::kInstance).find(instance_key);
-              it != planned_of(SweepStage::kInstance).end()) {
-            instances[pc] = it->second;
-            put_op(it->second);
-            continue;
-          }
-          PlanNode* node = make_node(SweepStage::kInstance, instance_key);
-          if (!probe_store(node)) {
-            node->build = [canonical, ordering = orderings[pc],
-                           level = s.level](PlanNode& n) {
-              const obs::Span span(stage_span_name(SweepStage::kInstance));
-              const auto canon = out_as<CanonicalSample2>(canonical);
-              const auto ord = out_as<Ordering2>(ordering);
-              std::vector<Point2> sorted(canon->particles.size());
-              for (std::size_t i = 0; i < sorted.size(); ++i) {
-                sorted[ord->rank[i]] = canon->particles[i];
-              }
-              auto built = std::make_shared<const AcdInstance<2>>(
-                  AcdInstance<2>::from_sorted(std::move(sorted), level));
-              n.bytes = built->memory_bytes();
-              n.output = std::move(built);
-            };
-            link(node, {canonical, orderings[pc]});
-          }
-          put_op(node);
-          planned_of(SweepStage::kInstance).emplace(instance_key, node);
-          instances[pc] = node;
-        }
-      }
-
-      for (std::size_t pc = 0; pc < npc; ++pc) {
+      for (std::size_t pc = 0; pc < s.particle_curves.size(); ++pc) {
         const CurveKind pkind = s.particle_curves[pc];
-        const std::uint64_t instance_key =
+        const std::uint64_t curve_key =
             sweep_key(sample_key, static_cast<std::uint64_t>(pkind));
+        PlanNode* ordering = graph.lookup(
+            SweepStage::kOrdering, curve_key, [&](PlanNode& node) {
+              node.build = ordering_builder(canonical, pkind, s.level,
+                                            &order_throughput);
+              graph.link(node, {canonical});
+            });
+        // Near-field-only studies never build an instance.
+        PlanNode* instance = nullptr;
+        if (s.far_field) {
+          instance = graph.lookup(
+              SweepStage::kInstance, curve_key, [&](PlanNode& node) {
+                node.build = instance_builder(canonical, ordering, s.level);
+                graph.link(node, {canonical, ordering});
+              });
+        }
 
         for (std::size_t pi = 0; pi < s.proc_counts.size(); ++pi) {
           const topo::Rank procs = s.proc_counts[pi];
-
-          // Plan this group's fold inputs (cache ops stay in the serial
-          // prefetch order; make_topology's argument validation throws
-          // here on the coordinator, never inside a pool task).
-          std::vector<DrainJob> group;
-          group.reserve(nrc * s.topologies.size());
-          for (std::size_t rc = 0; rc < nrc; ++rc) {
-            const std::size_t rc_index = s.paired_curves() ? pc : rc;
+          for (std::size_t rc = 0; rc < s.processor_order_count(); ++rc) {
             const CurveKind rkind =
                 s.paired_curves() ? pkind : s.processor_curves[rc];
             for (std::size_t ti = 0; ti < s.topologies.size(); ++ti) {
+              // Every cell looks up its histograms, its topology and its
+              // fold; only the first lookup of each key builds.
+              PlanNode* nfi = nullptr;
+              if (s.near_field) {
+                const std::uint64_t nfi_key =
+                    key_of({curve_key, procs, s.radius,
+                            static_cast<std::uint64_t>(s.norm)});
+                nfi = graph.lookup(
+                    SweepStage::kNfiHistogram, nfi_key, [&](PlanNode& node) {
+                      node.build = nfi_builder(canonical, ordering, procs,
+                                               s.radius, s.norm, pool);
+                      graph.link(node, {canonical, ordering});
+                    });
+              }
+              PlanNode* ffi = nullptr;
+              if (s.far_field) {
+                ffi = graph.lookup(SweepStage::kFfiHistogram,
+                                   key_of({curve_key, procs}),
+                                   [&](PlanNode& node) {
+                                     node.build =
+                                         ffi_builder(instance, procs, pool);
+                                     graph.link(node, {instance});
+                                   });
+              }
+
               const topo::TopologyKind tkind = s.topologies[ti];
-              // The planned fold strategy is part of the cache identity:
-              // a strategy change (new kernel, budget change) must not
-              // resurrect payloads sized for the old plan.
+              // The planned fold strategy is part of the artifact
+              // identity: a strategy change (new kernel, budget change)
+              // must not resurrect payloads sized for the old plan.
               const topo::FoldStrategy planned_fold =
                   topo::planned_fold_strategy(tkind, procs);
               const std::uint64_t topo_key =
@@ -878,172 +922,28 @@ StudyResult run_reuse(const Study& s, const SweepOptions& o) {
                               ? static_cast<std::uint64_t>(rkind)
                               : kNoRanking,
                           static_cast<std::uint64_t>(planned_fold)});
-              find_op(SweepStage::kTopology, topo_key);
-              PlanNode* topo_node = nullptr;
-              if (const auto it = planned_of(SweepStage::kTopology)
-                                      .find(topo_key);
-                  it != planned_of(SweepStage::kTopology).end()) {
-                topo_node = it->second;
-              } else {
-                // Topologies are built eagerly at plan time: they are
-                // cheap, their validation must throw on the coordinator,
-                // and pre-materializing them keeps them out of the
-                // execution graph entirely.
-                topo_node = make_node(SweepStage::kTopology, topo_key);
-                const obs::Span span(stage_span_name(SweepStage::kTopology));
-                const auto ranking = make_curve<2>(rkind);
-                std::shared_ptr<const topo::Topology> net =
-                    topo::make_topology<2>(tkind, procs, ranking.get());
-                // Payload estimate: per-rank coordinates plus the hop
-                // table only a dense-strategy fold would materialize
-                // (factorized kernels never touch p×p state).
-                std::size_t bytes =
-                    static_cast<std::size_t>(procs) * 2 * sizeof(topo::Rank);
-                if (planned_fold == topo::FoldStrategy::kDense) {
-                  bytes += static_cast<std::size_t>(procs) * procs *
-                           sizeof(std::uint32_t);
-                }
-                topo_node->bytes = bytes;
-                topo_node->output = std::move(net);
-                put_op(topo_node);
-                planned_of(SweepStage::kTopology).emplace(topo_key, topo_node);
-              }
-              const auto net = out_as<topo::Topology>(topo_node);
+              PlanNode* net = graph.lookup(
+                  SweepStage::kTopology, topo_key, [&](PlanNode& node) {
+                    build_topology(node, tkind, procs, rkind, planned_fold);
+                  });
 
-              PlanNode* nfi_node = nullptr;
-              if (s.near_field) {
-                const std::uint64_t nfi_key =
-                    key_of({instance_key, procs, s.radius,
-                            static_cast<std::uint64_t>(s.norm)});
-                find_op(SweepStage::kNfiHistogram, nfi_key);
-                if (const auto it = planned_of(SweepStage::kNfiHistogram)
-                                        .find(nfi_key);
-                    it != planned_of(SweepStage::kNfiHistogram).end()) {
-                  nfi_node = it->second;
-                } else {
-                  nfi_node = make_node(SweepStage::kNfiHistogram, nfi_key);
-                  if (!probe_store(nfi_node)) {
-                    nfi_node->build = [canonical, ordering = orderings[pc],
-                                       procs, radius = s.radius, norm = s.norm,
-                                       pool](PlanNode& n) {
-                      const obs::Span span(
-                          stage_span_name(SweepStage::kNfiHistogram));
-                      const auto canon = out_as<CanonicalSample2>(canonical);
-                      const auto ord = out_as<Ordering2>(ordering);
-                      // Owner of canonical particle i: the partition
-                      // chunk its curve rank falls in.
-                      const fmm::Partition part(canon->particles.size(),
-                                                procs);
-                      const std::vector<topo::Rank> by_rank =
-                          part.owner_table();
-                      std::vector<topo::Rank> owners(
-                          canon->particles.size());
-                      for (std::size_t i = 0; i < owners.size(); ++i) {
-                        owners[i] = by_rank[ord->rank[i]];
-                      }
-                      auto hist = std::make_shared<const RankPairAccumulator>(
-                          fmm::nfi_histogram_owners<2>(
-                              canon->particles, canon->grid, owners, procs,
-                              radius, norm, pool));
-                      hist->seal();
-                      n.bytes = hist->memory_bytes();
-                      n.output = std::move(hist);
-                    };
-                    link(nfi_node, {canonical, orderings[pc]});
-                  }
-                  put_op(nfi_node);
-                  planned_of(SweepStage::kNfiHistogram)
-                      .emplace(nfi_key, nfi_node);
-                }
-              }
-
-              PlanNode* ffi_node = nullptr;
-              if (s.far_field) {
-                const std::uint64_t ffi_key = key_of({instance_key, procs});
-                find_op(SweepStage::kFfiHistogram, ffi_key);
-                if (const auto it = planned_of(SweepStage::kFfiHistogram)
-                                        .find(ffi_key);
-                    it != planned_of(SweepStage::kFfiHistogram).end()) {
-                  ffi_node = it->second;
-                } else {
-                  ffi_node = make_node(SweepStage::kFfiHistogram, ffi_key);
-                  if (!probe_store(ffi_node)) {
-                    ffi_node->build = [instance = instances[pc], procs,
-                                       pool](PlanNode& n) {
-                      const obs::Span span(
-                          stage_span_name(SweepStage::kFfiHistogram));
-                      const auto inst = out_as<AcdInstance<2>>(instance);
-                      const fmm::Partition part(inst->particles().size(),
-                                                procs);
-                      auto hist = std::make_shared<const fmm::FfiHistograms>(
-                          fmm::ffi_histograms<2>(inst->tree(), part, pool));
-                      hist->interpolation.seal();
-                      hist->interaction.seal();
-                      n.bytes = hist->memory_bytes();
-                      n.output = std::move(hist);
-                    };
-                    link(ffi_node, {instances[pc]});
-                  }
-                  put_op(ffi_node);
-                  planned_of(SweepStage::kFfiHistogram)
-                      .emplace(ffi_key, ffi_node);
-                }
-              }
-
-              // The fold: one per cell, never memory-cached or deduped
-              // in-plan, but keyed by its inputs (histograms ⊕ topology)
-              // so a warm store answers it — at warm-start the folds are
-              // the only remaining compute. It holds the topology
-              // directly (pre-materialized above), so its only graph
-              // dependencies are the histograms.
+              // The fold is keyed by its inputs (histograms ⊕ topology),
+              // so a warm store answers it — at warm start the folds are
+              // the only remaining compute.
               const std::uint64_t fold_key =
-                  key_of({nfi_node != nullptr ? nfi_node->raw_key : 0,
-                          ffi_node != nullptr ? ffi_node->raw_key : 0,
-                          topo_key});
-              PlanNode* fold = make_node(SweepStage::kFold, fold_key);
-              if (probe_store(fold)) {
-                group.push_back(
-                    DrainJob{result.index(d, pc, pi, rc, ti),
-                             StudyCellRef{d, t, pc, pi, rc_index, ti}, fold});
-                continue;
-              }
-              fold->build = [net, nfi_node, ffi_node](PlanNode& n) {
-                const std::uint64_t t0 = obs::now_ns();
-                const obs::Span span(stage_span_name(SweepStage::kFold));
-                auto out = std::make_shared<FoldOut>();
-                if (nfi_node != nullptr) {
-                  const auto hist = out_as<RankPairAccumulator>(nfi_node);
-                  out->nfi_acd = net->fold(hist->view()).acd();
-                  out->has_nfi = true;
-                }
-                if (ffi_node != nullptr) {
-                  const auto hist = out_as<fmm::FfiHistograms>(ffi_node);
-                  out->ffi_acd = fmm::ffi_fold(*hist, *net).total().acd();
-                  out->has_ffi = true;
-                }
-                out->ms = static_cast<double>(obs::now_ns() - t0) / 1e6;
-                n.bytes = sizeof(FoldOut);
-                n.output = std::move(out);
-              };
-              link(fold, {nfi_node, ffi_node});
-              group.push_back(DrainJob{result.index(d, pc, pi, rc, ti),
+                  key_of({nfi != nullptr ? nfi->raw_key : 0,
+                          ffi != nullptr ? ffi->raw_key : 0, topo_key});
+              PlanNode* fold = graph.lookup(
+                  SweepStage::kFold, fold_key, [&](PlanNode& node) {
+                    node.build = fold_builder(net, nfi, ffi);
+                    graph.link(node, {net, nfi, ffi});
+                  });
+              graph.use(*fold);
+              const std::size_t rc_index = s.paired_curves() ? pc : rc;
+              drain.push_back(DrainJob{result.index(d, pc, pi, rc, ti),
                                        StudyCellRef{d, t, pc, pi, rc_index, ti},
                                        fold});
             }
-          }
-
-          // The serial engine counts the fold traffic after the group's
-          // prefetch, one tick per model per cell.
-          for (const DrainJob& job : group) {
-            if (s.near_field) {
-              ops.push_back(CacheOp{CacheOp::kCountFold, SweepStage::kFold, 0,
-                                    nullptr});
-            }
-            if (s.far_field) {
-              ops.push_back(CacheOp{CacheOp::kCountFold, SweepStage::kFold, 0,
-                                    nullptr});
-            }
-            drain.push_back(job);
           }
         }
       }
@@ -1051,114 +951,13 @@ StudyResult run_reuse(const Study& s, const SweepOptions& o) {
   }
 
   // ---- execute ----------------------------------------------------
-  // Everything not pre-materialized at plan time runs here. Both paths
-  // seed the ready roots and let completions cascade through the
-  // dependency counters; the parallel path additionally has the
-  // coordinator help drain the pool's queue.
-  std::vector<PlanNode*> runnable;
-  runnable.reserve(nodes.size());
-  for (PlanNode& n : nodes) {
-    if (n.output == nullptr) runnable.push_back(&n);
-  }
-  if (!parallel) {
-    std::vector<PlanNode*> ready;
-    ready.reserve(runnable.size());
-    for (PlanNode* n : runnable) {
-      if (n->pending.load(std::memory_order_relaxed) == 0) {
-        ready.push_back(n);
-      }
-    }
-    for (std::size_t i = 0; i < ready.size(); ++i) {
-      PlanNode* n = ready[i];
-      n->build(*n);
-      for (PlanNode* c : n->consumers) {
-        if (c->pending.fetch_sub(1, std::memory_order_relaxed) == 1) {
-          ready.push_back(c);
-        }
-      }
-    }
-  } else if (!runnable.empty()) {
-    struct Exec {
-      util::ThreadPool* pool;
-      util::Latch* done;
-      void run(PlanNode* n) const {
-        n->build(*n);
-        for (PlanNode* c : n->consumers) {
-          // acq_rel: the consumer's build must observe every producer
-          // output, whichever thread decrements last.
-          if (c->pending.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-            pool->submit([this, c] { run(c); });
-          }
-        }
-        done->count_down();
-      }
-    };
-    util::Latch done(runnable.size());
-    const Exec exec{pool, &done};
-    // Snapshot the roots before submitting any of them: once a root
-    // runs, its completions decrement consumers toward zero, and a
-    // live scan would re-submit those as roots.
-    std::vector<PlanNode*> roots;
-    for (PlanNode* n : runnable) {
-      if (n->pending.load(std::memory_order_relaxed) == 0) {
-        roots.push_back(n);
-      }
-    }
-    for (PlanNode* n : roots) {
-      pool->submit([&exec, n] { exec.run(n); });
-    }
-    done.wait_and_help(util::can_help(*pool) ? pool : nullptr);
-  }
-
-  // ---- account ----------------------------------------------------
-  // Replay the recorded cache traffic through the real cache on this
-  // one thread: hit/miss/eviction counters, byte accounting, and the
-  // spill stream are exactly what the serial engine would have
-  // produced, independent of how execution was scheduled.
-  if (store != nullptr) {
-    cache.set_spill_hook([store](SweepStage stage, std::uint64_t raw_key,
-                                 const std::shared_ptr<const void>& value,
-                                 std::size_t) {
-      if (!store_persistable(stage) || value == nullptr) return;
-      if (store->contains(stage, raw_key)) return;
-      const std::vector<std::uint8_t> payload =
-          serialize_artifact(stage, value.get());
-      store->save(stage, raw_key, payload.data(), payload.size());
-    });
-  }
-  for (const CacheOp& op : ops) {
-    switch (op.kind) {
-      case CacheOp::kFind:
-        (void)cache.find<void>(op.stage, op.raw_key);
-        break;
-      case CacheOp::kPut:
-        cache.put<void>(op.stage, op.raw_key, op.node->output,
-                        op.node->bytes);
-        break;
-      case CacheOp::kCountFold:
-        cache.count_fold();
-        break;
-    }
-  }
-
-  // Flush: every persistable artifact this run computed lands on disk
-  // (spilled evictions and store-loaded nodes are already there), so a
-  // warm rerun deserializes instead of recomputing.
-  if (store != nullptr) {
-    for (const PlanNode& n : nodes) {
-      if (!store_persistable(n.stage) || n.from_store || !n.output) continue;
-      if (store->contains(n.stage, n.raw_key)) continue;
-      const std::vector<std::uint8_t> payload =
-          serialize_artifact(n.stage, n.output.get());
-      store->save(n.stage, n.raw_key, payload.data(), payload.size());
-    }
-    store->publish_metrics();
-  }
+  graph.execute(pool);
+  if (o.store != nullptr) o.store->publish_metrics();
 
   // ---- drain ------------------------------------------------------
   // Results, statistics, and progress callbacks in plan (= grid) order:
-  // the float accumulation order matches the serial engine exactly, so
-  // cells are bit-identical whatever the thread count.
+  // the float accumulation order matches the from-scratch path exactly,
+  // so cells are bit-identical whatever the thread count.
   for (const DrainJob& job : drain) {
     const auto out = out_as<FoldOut>(job.fold);
     if (out->has_nfi) {
@@ -1170,15 +969,17 @@ StudyResult run_reuse(const Study& s, const SweepOptions& o) {
       result.stats[job.index].ffi.add(out->ffi_acd);
     }
     if (o.progress) o.progress(job.ref, out->ms);
+    graph.done_reading(*job.fold);
   }
 
-  result.sweep = cache.stats();
+  result.sweep = graph.stats();
   publish_sweep_metrics(result.sweep);
-  if (obs::metrics_enabled() && order_build_particles.load() > 0) {
+  const std::uint64_t ordered = order_throughput.particles.load();
+  if (obs::metrics_enabled() && ordered > 0) {
     obs::Registry::instance()
         .gauge("sweep.stage.order.ns_per_particle")
-        .set(static_cast<double>(order_build_ns.load()) /
-             static_cast<double>(order_build_particles.load()));
+        .set(static_cast<double>(order_throughput.ns.load()) /
+             static_cast<double>(ordered));
     // Which sort path the ordering stage's record counts selected:
     // mirrors the calibrated (or overridden) threaded-radix cutoff next
     // to the per-particle cost it gates.
@@ -1260,28 +1061,6 @@ StudyResult run_study(const Study& study, const SweepOptions& options) {
 
 // ----------------------------------------------------------------- dynamics
 
-namespace {
-
-/// Everything run_dynamics caches per step (one kDelta artifact).
-struct DynamicsStepArtifact {
-  DynamicsStepResult result;
-};
-
-/// Scenario half of the delta-stage key: every parameter the trajectory
-/// depends on. The step loop then chains each batch's (index, target)
-/// pairs on top, so a key names one exact prefix of one exact trajectory.
-std::uint64_t dynamics_base_key(const DynamicsStudy& s) {
-  return key_of({s.particles, s.level, s.radius,
-                 static_cast<std::uint64_t>(s.norm), s.seed,
-                 static_cast<std::uint64_t>(s.curve),
-                 static_cast<std::uint64_t>(s.topology),
-                 static_cast<std::uint64_t>(s.distribution), s.procs,
-                 std::bit_cast<std::uint64_t>(s.move_fraction),
-                 std::bit_cast<std::uint64_t>(s.repartition_threshold)});
-}
-
-}  // namespace
-
 DynamicsResult run_dynamics(const DynamicsStudy& study,
                             const DynamicsOptions& options) {
   DynamicsResult result;
@@ -1299,13 +1078,6 @@ DynamicsResult run_dynamics(const DynamicsStudy& study,
   const std::vector<Point2> sample =
       dist::sample_particles<2>(study.distribution, cfg);
 
-  // Current positions in the *frozen* order — the order DynamicAcd's
-  // constructor produces and, with re-partitioning disabled, keeps.
-  // Maintained by plain assignment so fully cached steps never pay for
-  // an engine at all.
-  std::vector<Point2> positions =
-      sort_by_curve<2>(sample, study.level, *curve);
-
   DynamicAcd<2>::Options frozen_opts;
   frozen_opts.radius = study.radius;
   frozen_opts.norm = study.norm;
@@ -1313,89 +1085,47 @@ DynamicsResult run_dynamics(const DynamicsStudy& study,
   DynamicAcd<2>::Options lazy_opts = frozen_opts;
   lazy_opts.repartition_threshold = study.repartition_threshold;
 
-  std::optional<DynamicAcd<2>> frozen;
-  std::optional<DynamicAcd<2>> lazy;
-  // Batches applied so far (frozen index space), replayed if the first
-  // cache miss arrives mid-trajectory.
-  std::vector<std::vector<ParticleMove2>> history;
+  // The frozen engine keeps the order its constructor produced, so its
+  // particle array is the frozen index space the drift moves address.
+  DynamicAcd<2> frozen(sample, study.level, *curve, study.procs, frozen_opts,
+                       options.pool);
+  DynamicAcd<2> lazy(sample, study.level, *curve, study.procs, lazy_opts,
+                     options.pool);
 
-  // Apply one frozen-order batch to both engines. The lazy engine's array
-  // order diverges once it re-partitions, so its copy of the batch is
-  // re-keyed through the pre-move positions (a move is physically
-  // position-keyed; frozen->particles() holds the pre-move state because
-  // translation happens before either engine applies the batch).
-  const auto apply_batch = [&](const std::vector<ParticleMove2>& batch) {
-    std::vector<ParticleMove2> lazy_batch;
-    lazy_batch.reserve(batch.size());
-    for (const ParticleMove2& mv : batch) {
-      const std::int32_t idx = lazy->index_at(frozen->particles()[mv.index]);
-      lazy_batch.push_back({static_cast<std::uint32_t>(idx), mv.to});
-    }
-    frozen->move_particles(batch, options.pool);
-    lazy->move_particles(lazy_batch, options.pool);
-  };
-
-  const auto materialize = [&]() {
-    if (frozen) return;
-    frozen.emplace(sample, study.level, *curve, study.procs, frozen_opts,
-                   options.pool);
-    lazy.emplace(sample, study.level, *curve, study.procs, lazy_opts,
-                 options.pool);
-    for (const auto& batch : history) apply_batch(batch);
-  };
-
-  std::uint64_t chain = dynamics_base_key(study);
   for (unsigned s = 0; s < study.steps; ++s) {
-    const std::vector<ParticleMove2> moves = drift_moves<2>(
-        positions, study.level, study.seed, s, study.move_fraction);
+    const std::vector<ParticleMove2> moves =
+        drift_moves<2>(frozen.particles(), study.level, study.seed, s,
+                       study.move_fraction);
+    const obs::Span span(stage_span_name(SweepStage::kDelta));
+    // The lazy engine's array order diverges once it re-partitions, so
+    // its copy of the batch is re-keyed through the pre-move positions
+    // (a move is physically position-keyed; frozen.particles() still
+    // holds the pre-move state here).
+    std::vector<ParticleMove2> lazy_moves;
+    lazy_moves.reserve(moves.size());
     for (const ParticleMove2& mv : moves) {
-      chain = sweep_key(chain, mv.index);
-      chain = sweep_key(chain, pack(mv.to, study.level));
+      const std::int32_t idx = lazy.index_at(frozen.particles()[mv.index]);
+      lazy_moves.push_back({static_cast<std::uint32_t>(idx), mv.to});
     }
-    const std::uint64_t step_key = sweep_key(chain, s);
+    frozen.move_particles(moves, options.pool);
+    lazy.move_particles(lazy_moves, options.pool);
 
-    std::shared_ptr<const DynamicsStepArtifact> art;
-    if (options.cache != nullptr) {
-      art = options.cache->find<DynamicsStepArtifact>(SweepStage::kDelta,
-                                                      step_key);
-    }
-    if (!art) {
-      const obs::Span span(stage_span_name(SweepStage::kDelta));
-      materialize();
-      apply_batch(moves);
-      auto built = std::make_shared<DynamicsStepArtifact>();
-      DynamicsStepResult& r = built->result;
-      r.moves = moves.size();
-      r.frozen_nfi = frozen->nfi(*net);
-      r.frozen_ffi = frozen->ffi(*net);
-      r.lazy_nfi = lazy->nfi(*net);
-      r.lazy_ffi = lazy->ffi(*net);
-      r.frozen_displaced = frozen->displaced_fraction();
-      r.lazy_displaced = lazy->displaced_fraction();
-      r.lazy_repartitions = lazy->repartitions();
-      // The re-sort-every-step baseline: a from-scratch AcdInstance of
-      // the post-move configuration.
-      const AcdInstance<2> inst(frozen->particles(), study.level, *curve);
-      const fmm::Partition part(study.particles, study.procs);
-      r.reorder_nfi =
-          inst.nfi(part, *net, study.radius, study.norm, options.pool);
-      r.reorder_ffi = inst.ffi(part, *net, options.pool);
-      if (options.cache != nullptr) {
-        options.cache->put<DynamicsStepArtifact>(
-            SweepStage::kDelta, step_key, built,
-            sizeof(DynamicsStepArtifact));
-      }
-      art = built;
-    }
-
-    for (const ParticleMove2& mv : moves) positions[mv.index] = mv.to;
-    history.push_back(moves);
-    result.steps.push_back(art->result);
-  }
-
-  if (options.cache != nullptr) {
-    result.sweep = options.cache->stats();
-    publish_sweep_metrics(result.sweep);
+    DynamicsStepResult& r = result.steps.emplace_back();
+    r.moves = moves.size();
+    r.frozen_nfi = frozen.nfi(*net);
+    r.frozen_ffi = frozen.ffi(*net);
+    r.lazy_nfi = lazy.nfi(*net);
+    r.lazy_ffi = lazy.ffi(*net);
+    r.frozen_displaced = frozen.displaced_fraction();
+    r.lazy_displaced = lazy.displaced_fraction();
+    r.lazy_repartitions = lazy.repartitions();
+    // The re-sort-every-step baseline: a from-scratch AcdInstance of
+    // the post-move configuration.
+    const AcdInstance<2> inst(frozen.particles(), study.level, *curve);
+    const fmm::Partition part(study.particles, study.procs);
+    r.reorder_nfi =
+        inst.nfi(part, *net, study.radius, study.norm, options.pool);
+    r.reorder_ffi = inst.ffi(part, *net, options.pool);
   }
   return result;
 }

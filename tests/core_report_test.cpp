@@ -10,19 +10,23 @@
 namespace sfc::core {
 namespace {
 
-CombinationStudyConfig tiny_combination() {
-  CombinationStudyConfig cfg;
-  cfg.particles = 300;
-  cfg.level = 5;
-  cfg.procs = 16;
-  cfg.seed = 3;
-  cfg.distributions = {dist::DistKind::kUniform};
-  cfg.curves = {CurveKind::kHilbert, CurveKind::kRowMajor};
-  return cfg;
+/// A toy study: one uniform sample, one Hilbert curve, p = 16.
+Study tiny_study() {
+  Study s;
+  s.particles = 300;
+  s.level = 5;
+  s.seed = 3;
+  s.particle_curves = {CurveKind::kHilbert};
+  s.topologies = {topo::TopologyKind::kTorus};
+  s.proc_counts = {16};
+  return s;
 }
 
 TEST(Report, CombinationTableLayout) {
-  const auto result = run_combination_study(tiny_combination());
+  Study s = tiny_study();
+  s.particle_curves = {CurveKind::kHilbert, CurveKind::kRowMajor};
+  s.processor_curves = s.particle_curves;
+  const StudyResult result = run_study(s);
   const auto table = combination_table(result, 0, /*far_field=*/false);
   const std::string csv = table.to_string(util::TableStyle::kCsv);
   EXPECT_NE(csv.find("Processor Order v,Hilbert,Row-Major"),
@@ -35,14 +39,10 @@ TEST(Report, CombinationTableLayout) {
 }
 
 TEST(Report, TopologyTableLayout) {
-  TopologyStudyConfig cfg;
-  cfg.particles = 300;
-  cfg.level = 5;
-  cfg.procs = 16;
-  cfg.seed = 3;
-  cfg.topologies = {topo::TopologyKind::kBus, topo::TopologyKind::kTorus};
-  cfg.curves = {CurveKind::kHilbert};
-  const auto result = run_topology_study(cfg);
+  Study s = tiny_study();
+  s.radius = 4;
+  s.topologies = {topo::TopologyKind::kBus, topo::TopologyKind::kTorus};
+  const StudyResult result = run_study(s);
   const auto table = topology_table(result, false);
   const std::string csv = table.to_string(util::TableStyle::kCsv);
   EXPECT_NE(csv.find("Bus,"), std::string::npos);
@@ -51,13 +51,10 @@ TEST(Report, TopologyTableLayout) {
 }
 
 TEST(Report, ScalingTableLayout) {
-  ScalingStudyConfig cfg;
-  cfg.particles = 300;
-  cfg.level = 5;
-  cfg.proc_counts = {4, 16};
-  cfg.seed = 3;
-  cfg.curves = {CurveKind::kMorton};
-  const auto result = run_scaling_study(cfg);
+  Study s = tiny_study();
+  s.particle_curves = {CurveKind::kMorton};
+  s.proc_counts = {4, 16};
+  const StudyResult result = run_study(s);
   const auto table = scaling_table(result, true);
   const std::string csv = table.to_string(util::TableStyle::kCsv);
   EXPECT_NE(csv.find("p=4,"), std::string::npos);
