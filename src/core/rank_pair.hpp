@@ -28,9 +28,11 @@
 #pragma once
 
 #include <algorithm>
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -329,35 +331,53 @@ class PairDeltas {
 /// filled them); the runs themselves merge when the target is sealed. Counts commute, so
 /// the merged multiset — and in dense mode the byte-for-byte array — is
 /// independent of scheduling and chunk boundaries.
+///
+/// A walk that feeds several histograms at once (one per processor count
+/// of an ordering) gives each slot one shard per entry of `procs`.
 class RankPairShards {
  public:
-  /// One shard per pool worker plus one for the calling thread (the
-  /// serial fallback and below-cutoff ranges land there).
-  RankPairShards(topo::Rank procs, unsigned workers) {
-    shards_.reserve(static_cast<std::size_t>(workers) + 1);
-    for (unsigned i = 0; i <= workers; ++i) shards_.emplace_back(procs);
+  /// One slot per pool worker plus one for the calling thread (the
+  /// serial fallback and below-cutoff ranges land there); each slot holds
+  /// one shard per processor count.
+  RankPairShards(std::span<const topo::Rank> procs, unsigned workers)
+      : width_(procs.size()) {
+    shards_.reserve((static_cast<std::size_t>(workers) + 1) * width_);
+    for (unsigned i = 0; i <= workers; ++i) {
+      for (const topo::Rank p : procs) shards_.emplace_back(p);
+    }
   }
+  RankPairShards(topo::Rank procs, unsigned workers)
+      : RankPairShards(std::span<const topo::Rank>(&procs, 1), workers) {}
 
-  /// The shard owned by the executing thread: workers of the pool the
-  /// kernel fans out on get distinct slots; any other caller (the
-  /// coordinator, a foreign pool's worker running the serial fallback)
-  /// gets the last slot. Within one fan-out the executors are either
-  /// this pool's workers or the single calling thread, never both, so no
-  /// two threads share a slot concurrently.
-  RankPairAccumulator& local() noexcept {
-    const unsigned idx = util::ThreadPool::current_worker_index();
-    const std::size_t last = shards_.size() - 1;
-    return shards_[idx < last ? idx : last];
+  /// The shards of the slot owned by the executing thread: workers of
+  /// the pool the kernel fans out on get distinct slots; any other caller
+  /// (the coordinator, a foreign pool's worker running the serial
+  /// fallback) gets the last slot. Within one fan-out the executors are
+  /// either this pool's workers or the single calling thread, never
+  /// both, so no two threads share a slot concurrently.
+  std::span<RankPairAccumulator> locals() noexcept {
+    const std::size_t idx = util::ThreadPool::current_worker_index();
+    const std::size_t last = shards_.size() / width_ - 1;
+    return std::span(shards_).subspan((idx < last ? idx : last) * width_,
+                                      width_);
   }
+  RankPairAccumulator& local() noexcept { return locals().front(); }
 
-  /// Move every shard into `acc`, in fixed slot order; the shards are
-  /// left empty.
+  /// Move every slot's shard k into `accs[k]`, in fixed slot order; the
+  /// shards are left empty.
+  void merge_into(std::span<RankPairAccumulator> accs) {
+    assert(accs.size() == width_);
+    for (std::size_t i = 0; i < shards_.size(); ++i) {
+      accs[i % width_] += std::move(shards_[i]);
+    }
+  }
   void merge_into(RankPairAccumulator& acc) {
-    for (RankPairAccumulator& s : shards_) acc += std::move(s);
+    merge_into(std::span<RankPairAccumulator>(&acc, 1));
   }
 
  private:
-  std::vector<RankPairAccumulator> shards_;
+  std::size_t width_;                       // shards per slot
+  std::vector<RankPairAccumulator> shards_;  // slot-major
 };
 
 }  // namespace sfc::core

@@ -226,6 +226,13 @@ struct PlanNode {
   std::shared_ptr<const void> output;
   std::size_t bytes = 0;
   bool from_store = false;
+  /// A shared build outside the stage counts and the store (one tree walk
+  /// or window scan for every processor count of an ordering): its
+  /// members move their histograms out of its output.
+  bool batch = false;
+  /// Set by a batch member's build: the bytes it moved out of the batch,
+  /// which change owner instead of adding to the live total.
+  std::size_t moved_bytes = 0;
   ArtifactStore::Mapping mapping;  ///< pinned store payload (load nodes)
   std::vector<PlanNode*> inputs;     ///< every node the builder reads
   std::vector<PlanNode*> consumers;  ///< nodes waiting for this build
@@ -506,6 +513,20 @@ class StudyGraph {
     return node;
   }
 
+  /// Whether a node is already planned under (stage, key).
+  bool planned(SweepStage stage, std::uint64_t key) const {
+    return planned_[static_cast<unsigned>(stage)].contains(key);
+  }
+
+  /// A new batch node for `stage`: built like any node, but not counted,
+  /// keyed or persisted — its members are.
+  PlanNode& add_batch(SweepStage stage) {
+    PlanNode& node = nodes_.emplace_back();
+    node.stage = stage;
+    node.batch = true;
+    return node;
+  }
+
   /// Record that `node` reads `inputs` (null entries skipped): each input
   /// gains a use, and one not yet materialized also gates the node.
   void link(PlanNode& node, std::initializer_list<PlanNode*> inputs) {
@@ -578,7 +599,9 @@ class StudyGraph {
   SweepStats stats() const {
     assert(live_bytes_.load() == 0 && "an artifact outlived its readers");
     SweepStats out = stats_;
-    for (const PlanNode& n : nodes_) out.built_bytes += n.bytes;
+    for (const PlanNode& n : nodes_) {
+      if (!n.batch) out.built_bytes += n.bytes;
+    }
     out.peak_bytes = peak_bytes_.load(std::memory_order_relaxed);
     return out;
   }
@@ -587,7 +610,9 @@ class StudyGraph {
   // Store probe for a planned build: a validated payload turns the node
   // into a cheap deserialize; the mapping pins the bytes until then.
   bool probe_store(PlanNode& node) {
-    if (store_ == nullptr || !store_persistable(node.stage)) return false;
+    if (store_ == nullptr || node.batch || !store_persistable(node.stage)) {
+      return false;
+    }
     auto mapping = store_->load(node.stage, node.raw_key);
     if (!mapping) return false;
     node.mapping = std::move(*mapping);
@@ -621,8 +646,9 @@ class StudyGraph {
   void complete(PlanNode& node) {
     node.build(node);
     node.build = nullptr;
+    live_bytes_.fetch_sub(node.moved_bytes, std::memory_order_relaxed);
     account(node);
-    if (store_ != nullptr && !node.from_store &&
+    if (store_ != nullptr && !node.from_store && !node.batch &&
         store_persistable(node.stage) &&
         !store_->contains(node.stage, node.raw_key)) {
       const std::vector<std::uint8_t> payload =
@@ -647,7 +673,10 @@ class StudyGraph {
 
   void release(PlanNode& node) {
     node.output.reset();
-    live_bytes_.fetch_sub(node.bytes, std::memory_order_relaxed);
+    // A batch's bytes all moved to its members, which release them.
+    if (!node.batch) {
+      live_bytes_.fetch_sub(node.bytes, std::memory_order_relaxed);
+    }
   }
 
   ArtifactStore* store_;
@@ -733,41 +762,78 @@ Builder instance_builder(const PlanNode* canonical, const PlanNode* ordering,
   };
 }
 
-Builder nfi_builder(const PlanNode* canonical, const PlanNode* ordering,
-                    topo::Rank procs, unsigned radius, fmm::NeighborNorm norm,
-                    util::ThreadPool* pool) {
+/// Output of a batch node: member k's histogram in slots[k], which that
+/// member's build moves out (hence mutable behind the shared const
+/// output; members move distinct slots, so they never race).
+template <typename Hist>
+struct HistogramBatch {
+  mutable std::vector<Hist> slots;
+};
+
+/// The processor counts of a batch's members in slot order; the plan walk
+/// appends to it, the batch build reads it.
+using BatchProcs = std::shared_ptr<std::vector<topo::Rank>>;
+
+/// All missing NFI histograms of one (sample, ordering) from one window
+/// scan over the canonical sample.
+Builder nfi_batch_builder(const PlanNode* canonical, const PlanNode* ordering,
+                          BatchProcs procs, unsigned radius,
+                          fmm::NeighborNorm norm, util::ThreadPool* pool) {
   return [=](PlanNode& n) {
     const obs::Span span(stage_span_name(SweepStage::kNfiHistogram));
     const auto canon = out_as<CanonicalSample2>(canonical);
     const auto ord = out_as<Ordering2>(ordering);
     // Owner of canonical particle i: the partition chunk its curve rank
-    // falls in.
-    const fmm::Partition part(canon->particles.size(), procs);
-    const std::vector<topo::Rank> by_rank = part.owner_table();
-    std::vector<topo::Rank> owners(canon->particles.size());
-    for (std::size_t i = 0; i < owners.size(); ++i) {
-      owners[i] = by_rank[ord->rank[i]];
+    // falls in, per processor count.
+    const std::size_t count = canon->particles.size();
+    std::vector<std::vector<topo::Rank>> owners;
+    for (const topo::Rank p : *procs) {
+      const std::vector<topo::Rank> by_rank =
+          fmm::Partition(count, p).owner_table();
+      std::vector<topo::Rank>& own = owners.emplace_back(count);
+      for (std::size_t i = 0; i < count; ++i) own[i] = by_rank[ord->rank[i]];
     }
-    auto hist = std::make_shared<const RankPairAccumulator>(
-        fmm::nfi_histogram_owners<2>(canon->particles, canon->grid, owners,
-                                     procs, radius, norm, pool));
-    hist->seal();
-    n.bytes = hist->memory_bytes();
-    n.output = std::move(hist);
+    auto batch = std::make_shared<HistogramBatch<RankPairAccumulator>>();
+    batch->slots = fmm::nfi_histogram_owners<2>(
+        canon->particles, canon->grid, owners, *procs, radius, norm, pool);
+    for (const RankPairAccumulator& hist : batch->slots) {
+      hist.seal();
+      n.bytes += hist.memory_bytes();
+    }
+    n.output = std::move(batch);
   };
 }
 
-Builder ffi_builder(const PlanNode* instance, topo::Rank procs,
-                    util::ThreadPool* pool) {
+/// All missing FFI histograms of one (sample, ordering) from one walk of
+/// the instance's cell tree.
+Builder ffi_batch_builder(const PlanNode* instance, BatchProcs procs,
+                          util::ThreadPool* pool) {
   return [=](PlanNode& n) {
     const obs::Span span(stage_span_name(SweepStage::kFfiHistogram));
     const auto inst = out_as<AcdInstance<2>>(instance);
-    const fmm::Partition part(inst->particles().size(), procs);
-    auto hist = std::make_shared<const fmm::FfiHistograms>(
-        fmm::ffi_histograms<2>(inst->tree(), part, pool));
-    hist->interpolation.seal();
-    hist->interaction.seal();
+    std::vector<fmm::Partition> parts;
+    for (const topo::Rank p : *procs) {
+      parts.emplace_back(inst->particles().size(), p);
+    }
+    auto batch = std::make_shared<HistogramBatch<fmm::FfiHistograms>>();
+    batch->slots = fmm::ffi_histograms<2>(inst->tree(), parts, pool);
+    for (const fmm::FfiHistograms& hist : batch->slots) {
+      hist.interpolation.seal();
+      hist.interaction.seal();
+      n.bytes += hist.memory_bytes();
+    }
+    n.output = std::move(batch);
+  };
+}
+
+/// A per-p histogram node fed by a batch: takes its slot.
+template <typename Hist>
+Builder member_builder(const PlanNode* batch, std::size_t slot) {
+  return [=](PlanNode& n) {
+    auto hist = std::make_shared<const Hist>(
+        std::move(out_as<HistogramBatch<Hist>>(batch)->slots[slot]));
     n.bytes = hist->memory_bytes();
+    n.moved_bytes = n.bytes;
     n.output = std::move(hist);
   };
 }
@@ -836,7 +902,17 @@ StudyResult run_reuse(const Study& s, const SweepOptions& o) {
   // ---- plan -------------------------------------------------------
   // One pass over the study grid on the coordinator. Every lookup of a
   // stage key either shares the node already planned under it or plans
-  // the one build of that artifact.
+  // the one build of that artifact. A cell derives its fold key from the
+  // raw stage keys before planning anything the fold reads, and plans
+  // those inputs only when the store does not answer the fold — a warm
+  // rerun plans its folds and the cheap topologies, nothing else.
+  //
+  // The row and curve nodes (canonical; ordering and instance) are
+  // looked up when a build first needs them, or — once another row or
+  // curve planned them — when a cell first plans its inputs, so a cold
+  // run looks each up once per row and curve. The per-p histograms one
+  // (sample, ordering) is missing share one batch node per model: one
+  // window scan and one tree walk feed every processor count.
   std::vector<DrainJob> drain;
   for (std::size_t d = 0; d < s.distributions.size(); ++d) {
     for (unsigned t = 0; t < s.trials; ++t) {
@@ -847,69 +923,100 @@ StudyResult run_reuse(const Study& s, const SweepOptions& o) {
       // Canonical spatial state for this (distribution, trial): the
       // cell-sorted sample and its occupancy grid, which every curve of
       // the row shares. The raw sample is needed only to compute it.
-      PlanNode* canonical = graph.lookup(
-          SweepStage::kCanonical, sample_key, [&](PlanNode& node) {
-            PlanNode* sample = graph.lookup(
-                SweepStage::kSample, sample_key, [&](PlanNode& sn) {
-                  sn.build = sample_builder(s.distributions[d], s.particles,
-                                            s.level,
-                                            util::substream_seed(s.seed, t));
-                });
-            node.build = canonical_builder(sample, s.level, pool);
-            graph.link(node, {sample});
-          });
+      PlanNode* canonical = nullptr;
+      const auto need_canonical = [&] {
+        if (canonical != nullptr) return canonical;
+        canonical = graph.lookup(
+            SweepStage::kCanonical, sample_key, [&](PlanNode& node) {
+              PlanNode* sample = graph.lookup(
+                  SweepStage::kSample, sample_key, [&](PlanNode& sn) {
+                    sn.build = sample_builder(s.distributions[d], s.particles,
+                                              s.level,
+                                              util::substream_seed(s.seed, t));
+                  });
+              node.build = canonical_builder(sample, s.level, pool);
+              graph.link(node, {sample});
+            });
+        return canonical;
+      };
 
       for (std::size_t pc = 0; pc < s.particle_curves.size(); ++pc) {
         const CurveKind pkind = s.particle_curves[pc];
         const std::uint64_t curve_key =
             sweep_key(sample_key, static_cast<std::uint64_t>(pkind));
-        PlanNode* ordering = graph.lookup(
-            SweepStage::kOrdering, curve_key, [&](PlanNode& node) {
-              node.build = ordering_builder(canonical, pkind, s.level,
-                                            &order_throughput);
-              graph.link(node, {canonical});
-            });
-        // Near-field-only studies never build an instance.
+        PlanNode* ordering = nullptr;
+        const auto need_ordering = [&] {
+          if (ordering != nullptr) return ordering;
+          ordering = graph.lookup(
+              SweepStage::kOrdering, curve_key, [&](PlanNode& node) {
+                PlanNode* canon = need_canonical();
+                node.build = ordering_builder(canon, pkind, s.level,
+                                              &order_throughput);
+                graph.link(node, {canon});
+              });
+          return ordering;
+        };
+        // Only the FFI tree walk reads an instance.
         PlanNode* instance = nullptr;
-        if (s.far_field) {
+        const auto need_instance = [&] {
+          if (instance != nullptr) return instance;
           instance = graph.lookup(
               SweepStage::kInstance, curve_key, [&](PlanNode& node) {
-                node.build = instance_builder(canonical, ordering, s.level);
-                graph.link(node, {canonical, ordering});
+                PlanNode* canon = need_canonical();
+                PlanNode* ord = need_ordering();
+                node.build = instance_builder(canon, ord, s.level);
+                graph.link(node, {canon, ord});
               });
-        }
+          return instance;
+        };
+
+        // A histogram node the store does not answer joins its model's
+        // batch, which is created with the first such node.
+        PlanNode* nfi_batch = nullptr;
+        BatchProcs nfi_procs;
+        const auto plan_nfi = [&](PlanNode& node, topo::Rank procs) {
+          if (nfi_batch == nullptr) {
+            PlanNode* canon = need_canonical();
+            PlanNode* ord = need_ordering();
+            nfi_procs = std::make_shared<std::vector<topo::Rank>>();
+            nfi_batch = &graph.add_batch(SweepStage::kNfiHistogram);
+            nfi_batch->build = nfi_batch_builder(canon, ord, nfi_procs,
+                                                 s.radius, s.norm, pool);
+            graph.link(*nfi_batch, {canon, ord});
+          }
+          node.build = member_builder<RankPairAccumulator>(nfi_batch,
+                                                           nfi_procs->size());
+          nfi_procs->push_back(procs);
+          graph.link(node, {nfi_batch});
+        };
+        PlanNode* ffi_batch = nullptr;
+        BatchProcs ffi_procs;
+        const auto plan_ffi = [&](PlanNode& node, topo::Rank procs) {
+          if (ffi_batch == nullptr) {
+            PlanNode* inst = need_instance();
+            ffi_procs = std::make_shared<std::vector<topo::Rank>>();
+            ffi_batch = &graph.add_batch(SweepStage::kFfiHistogram);
+            ffi_batch->build = ffi_batch_builder(inst, ffi_procs, pool);
+            graph.link(*ffi_batch, {inst});
+          }
+          node.build = member_builder<fmm::FfiHistograms>(ffi_batch,
+                                                          ffi_procs->size());
+          ffi_procs->push_back(procs);
+          graph.link(node, {ffi_batch});
+        };
 
         for (std::size_t pi = 0; pi < s.proc_counts.size(); ++pi) {
           const topo::Rank procs = s.proc_counts[pi];
+          const std::uint64_t nfi_key =
+              s.near_field ? key_of({curve_key, procs, s.radius,
+                                     static_cast<std::uint64_t>(s.norm)})
+                           : 0;
+          const std::uint64_t ffi_key =
+              s.far_field ? key_of({curve_key, procs}) : 0;
           for (std::size_t rc = 0; rc < s.processor_order_count(); ++rc) {
             const CurveKind rkind =
                 s.paired_curves() ? pkind : s.processor_curves[rc];
             for (std::size_t ti = 0; ti < s.topologies.size(); ++ti) {
-              // Every cell looks up its histograms, its topology and its
-              // fold; only the first lookup of each key builds.
-              PlanNode* nfi = nullptr;
-              if (s.near_field) {
-                const std::uint64_t nfi_key =
-                    key_of({curve_key, procs, s.radius,
-                            static_cast<std::uint64_t>(s.norm)});
-                nfi = graph.lookup(
-                    SweepStage::kNfiHistogram, nfi_key, [&](PlanNode& node) {
-                      node.build = nfi_builder(canonical, ordering, procs,
-                                               s.radius, s.norm, pool);
-                      graph.link(node, {canonical, ordering});
-                    });
-              }
-              PlanNode* ffi = nullptr;
-              if (s.far_field) {
-                ffi = graph.lookup(SweepStage::kFfiHistogram,
-                                   key_of({curve_key, procs}),
-                                   [&](PlanNode& node) {
-                                     node.build =
-                                         ffi_builder(instance, procs, pool);
-                                     graph.link(node, {instance});
-                                   });
-              }
-
               const topo::TopologyKind tkind = s.topologies[ti];
               // The planned fold strategy is part of the artifact
               // identity: a strategy change (new kernel, budget change)
@@ -927,17 +1034,49 @@ StudyResult run_reuse(const Study& s, const SweepOptions& o) {
                     build_topology(node, tkind, procs, rkind, planned_fold);
                   });
 
+              // Every cell whose fold the store does not answer looks up
+              // its histograms; only the first lookup of each key builds.
+              PlanNode* nfi = nullptr;
+              PlanNode* ffi = nullptr;
+              bool inputs_planned = false;
+              const auto plan_inputs = [&] {
+                inputs_planned = true;
+                // Row and curve nodes another row or curve planned are
+                // hits now; unplanned ones wait for a build to need them.
+                if (graph.planned(SweepStage::kCanonical, sample_key)) {
+                  need_canonical();
+                }
+                if (graph.planned(SweepStage::kOrdering, curve_key)) {
+                  need_ordering();
+                }
+                if (s.far_field &&
+                    graph.planned(SweepStage::kInstance, curve_key)) {
+                  need_instance();
+                }
+                if (s.near_field) {
+                  nfi = graph.lookup(
+                      SweepStage::kNfiHistogram, nfi_key,
+                      [&](PlanNode& node) { plan_nfi(node, procs); });
+                }
+                if (s.far_field) {
+                  ffi = graph.lookup(
+                      SweepStage::kFfiHistogram, ffi_key,
+                      [&](PlanNode& node) { plan_ffi(node, procs); });
+                }
+              };
               // The fold is keyed by its inputs (histograms ⊕ topology),
               // so a warm store answers it — at warm start the folds are
               // the only remaining compute.
-              const std::uint64_t fold_key =
-                  key_of({nfi != nullptr ? nfi->raw_key : 0,
-                          ffi != nullptr ? ffi->raw_key : 0, topo_key});
               PlanNode* fold = graph.lookup(
-                  SweepStage::kFold, fold_key, [&](PlanNode& node) {
+                  SweepStage::kFold, key_of({nfi_key, ffi_key, topo_key}),
+                  [&](PlanNode& node) {
+                    plan_inputs();
                     node.build = fold_builder(net, nfi, ffi);
                     graph.link(node, {net, nfi, ffi});
                   });
+              // A fold another cell planned (a repeated axis value):
+              // this cell still looks up its inputs, as hits.
+              if (!inputs_planned && !fold->from_store) plan_inputs();
               graph.use(*fold);
               const std::size_t rc_index = s.paired_curves() ? pc : rc;
               drain.push_back(DrainJob{result.index(d, pc, pi, rc, ti),

@@ -14,7 +14,9 @@
 // finishes — so independent cells run concurrently end-to-end while
 // Table I's four processor-order rows and Figure 6's six topologies
 // still fold the *same* histograms instead of re-running the
-// O(n·window) enumeration. The spatial side of a sample is factored out
+// O(n·window) enumeration — and Figure 7's processor counts share one
+// enumeration per particle order, which records every event into one
+// histogram per p (a partition only relabels the events). The spatial side of a sample is factored out
 // once per (distribution, trial) as a cell-sorted *canonical* copy with
 // its occupancy grid; each curve then contributes only a rank table (a
 // linear-time bucket argsort of its cell indices), the NFI events are
@@ -200,9 +202,11 @@ struct SweepOptions {
   /// speedup baseline. Results are bit-identical either way.
   bool reuse = true;
   CellProgressFn progress;
-  /// Optional disk tier (reuse path only): every artifact the study needs
-  /// is probed here before being recomputed, and every persistable
-  /// artifact this run computes is written back when its node completes.
+  /// Optional disk tier (reuse path only): each cell's fold is probed
+  /// here first, and a stored fold needs none of its inputs; every other
+  /// artifact the study needs is probed before being recomputed, and
+  /// every persistable artifact this run computes is written back when
+  /// its node completes.
   /// Results are bit-identical with or without a store, warm or cold.
   ArtifactStore* store = nullptr;
 };

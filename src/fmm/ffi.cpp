@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "fmm/cells.hpp"
+#include "fmm/owner_sink.hpp"
 #include "obs/trace.hpp"
 #include "util/radix_sort.hpp"
 
@@ -131,11 +132,10 @@ core::CommTotals il_range(const CellTree<D>& tree, const Partition& part,
   return totals;
 }
 
-/// Histogram the (child owner, parent owner) interpolation pairs of
-/// cells [lo, hi) at level `l` into `acc`.
-template <int D>
-void interp_range_into(const CellTree<D>& tree, const topo::Rank* own,
-                       core::RankPairAccumulator& acc, unsigned l,
+/// Record the (child owner, parent owner) interpolation events of cells
+/// [lo, hi) at level `l` into `sink` (fmm/owner_sink.hpp).
+template <int D, typename Sink>
+void interp_range_into(const CellTree<D>& tree, Sink sink, unsigned l,
                        std::size_t lo, std::size_t hi) {
   if (lo >= hi) return;
   const auto& cells = tree.cells(l);
@@ -150,24 +150,18 @@ void interp_range_into(const CellTree<D>& tree, const topo::Rank* own,
   for (std::size_t i = lo; i < hi; ++i) {
     const std::uint64_t pk = parent_key<D>(cells[i].key);
     while (parents[j].key != pk) ++j;
-    acc.add(own[cells[i].min_particle], own[parents[j].min_particle]);
+    sink.add(cells[i].min_particle, parents[j].min_particle);
   }
 }
 
-/// Histogram the (source owner, cell owner) interaction-list pairs of
-/// cells [lo, hi) at level `l` into `acc`. The candidate cells stream
-/// straight from the offset odometer into the key lookup — no
-/// materialized interaction list, no per-cell allocation.
-template <int D>
-void il_range_into(const CellTree<D>& tree, const topo::Rank* own,
-                   core::RankPairAccumulator& acc, unsigned l, std::size_t lo,
-                   std::size_t hi) {
+/// Record the (source owner, cell owner) interaction-list events of cells
+/// [lo, hi) at level `l` into `sink`. The candidate cells stream straight
+/// from the offset odometer into the key lookup — no materialized
+/// interaction list, no per-cell allocation.
+template <int D, typename Sink>
+void il_range_into(const CellTree<D>& tree, Sink sink, unsigned l,
+                   std::size_t lo, std::size_t hi) {
   const auto& cells = tree.cells(l);
-  // Dense-mode fast path: hoist the count-array base so each event is a
-  // single indexed increment (row(0) is the array base; src varies per
-  // event, so hoisting one row would not help). Sparse mode keeps add().
-  std::uint64_t* const counts = acc.row(0);
-  const std::size_t p = acc.procs();
   const std::int64_t side = 1ll << (l - 1);
   // Child-digit decode: Morton digit d's child of pn sits at
   // 2·pn + kChild[d], and its key is (key(pn) << D) | d — so the inner
@@ -179,7 +173,7 @@ void il_range_into(const CellTree<D>& tree, const topo::Rank* own,
   for (std::size_t i = lo; i < hi; ++i) {
     const Point<D> c = morton_point<D>(cells[i].key);
     const Point<D> par = parent_cell(c);
-    const topo::Rank owner = own[cells[i].min_particle];
+    sink.to(cells[i].min_particle);
     // Odometer over the parent's neighbors. Two prunes the reference
     // path skips, neither of which changes the event multiset: the zero
     // offset (the cell's own siblings, all Chebyshev-adjacent) and the
@@ -211,12 +205,7 @@ void il_range_into(const CellTree<D>& tree, const topo::Rank* own,
             if (chebyshev(child, c) <= 1) continue;
             const auto idx = tree.find(l, (pn_key << D) | d);
             if (idx < 0) continue;  // unoccupied cells do not communicate
-            const auto& dc = cells[static_cast<std::size_t>(idx)];
-            if (counts != nullptr) {
-              ++counts[own[dc.min_particle] * p + owner];
-            } else {
-              acc.add(own[dc.min_particle], owner);
-            }
+            sink.from(cells[static_cast<std::size_t>(idx)].min_particle);
           }
         }
       }
@@ -228,44 +217,48 @@ void il_range_into(const CellTree<D>& tree, const topo::Rank* own,
   }
 }
 
-/// Accumulate one communication family's histogram over all levels
-/// [first_level, finest]. Serial path: every level goes straight into
-/// `acc` — one accumulator for the whole family, folded once by the
-/// caller (building and folding a fresh accumulator per chunk per level
-/// is what used to cancel the aggregation savings). Parallel path:
-/// per-worker shards written without synchronization — each chunk
-/// records into the shard of the worker executing it, across all levels
-/// — then merged into `acc` exactly once. Counts are integers and
-/// addition commutes, so the merged multiset is independent of chunking
-/// and scheduling order.
+/// Accumulate one communication family's histograms — one per owner
+/// table — over all levels [first_level, finest]. Serial path: every
+/// level goes straight into `accs`, one histogram per partition for the
+/// whole family, folded once by the caller (building and folding a fresh
+/// accumulator per chunk per level is what used to cancel the
+/// aggregation savings). Parallel path: per-worker shards written without
+/// synchronization — each chunk records into the shards of the worker
+/// executing it, across all levels — then merged into `accs` exactly
+/// once. Counts are integers and addition commutes, so the merged
+/// multisets are independent of chunking and scheduling order.
 template <int D, typename IntoFn>
 void histogram_levels(util::ThreadPool* pool, const CellTree<D>& tree,
-                      unsigned first_level, topo::Rank procs,
-                      core::RankPairAccumulator& acc, IntoFn into) {
+                      unsigned first_level, const detail::OwnerTables& owners,
+                      std::span<const topo::Rank> procs,
+                      std::span<core::RankPairAccumulator> accs, IntoFn into) {
   const unsigned finest = tree.finest_level();
   if (pool == nullptr || pool->size() <= 1) {
-    for (unsigned l = first_level; l <= finest; ++l) {
-      into(acc, l, std::size_t{0}, tree.cells(l).size());
-    }
+    owners.with(accs, [&](auto sink) {
+      for (unsigned l = first_level; l <= finest; ++l) {
+        into(sink, l, std::size_t{0}, tree.cells(l).size());
+      }
+    });
     return;
   }
   core::RankPairShards shards(procs, pool->size());
   for (unsigned l = first_level; l <= finest; ++l) {
+    const auto chunk = [&, l](std::size_t lo, std::size_t hi) {
+      owners.with(shards.locals(),
+                  [&](auto sink) { into(sink, l, lo, hi); });
+    };
     const std::size_t n = tree.cells(l).size();
     if (n < 4096) {
-      // Below the fan-out cutoff the calling thread fills its own shard
+      // Below the fan-out cutoff the calling thread fills its own shards
       // while no chunks are in flight.
-      into(shards.local(), l, std::size_t{0}, n);
+      chunk(0, n);
       continue;
     }
-    util::parallel_for_chunks(*pool, 0, n, util::kAutoGrain,
-                              [&, l](std::size_t lo, std::size_t hi) {
-                                into(shards.local(), l, lo, hi);
-                              });
+    util::parallel_for_chunks(*pool, 0, n, util::kAutoGrain, chunk);
   }
   {
     const obs::Span span("ffi/merge_shards");
-    shards.merge_into(acc);
+    shards.merge_into(accs);
   }
 }
 
@@ -292,28 +285,49 @@ FfiTotals ffi_totals(const CellTree<D>& tree, const Partition& part,
 }
 
 template <int D>
-FfiHistograms ffi_histograms(const CellTree<D>& tree, const Partition& part,
-                             util::ThreadPool* pool) {
-  const std::vector<topo::Rank> owners = part.owner_table();
-  const topo::Rank* own = owners.data();
-  FfiHistograms h(part.processors());
+std::vector<FfiHistograms> ffi_histograms(const CellTree<D>& tree,
+                                          std::span<const Partition> parts,
+                                          util::ThreadPool* pool) {
+  if (parts.empty()) return {};
+  std::vector<std::vector<topo::Rank>> tables;
+  std::vector<topo::Rank> procs;
+  std::vector<core::RankPairAccumulator> interpolation;
+  std::vector<core::RankPairAccumulator> interaction;
+  for (const Partition& part : parts) {
+    tables.push_back(part.owner_table());
+    procs.push_back(part.processors());
+    interpolation.emplace_back(part.processors());
+    interaction.emplace_back(part.processors());
+  }
+  const detail::OwnerTables owners(tables);
   {
     const obs::Span span("ffi/interpolation");
-    histogram_levels<D>(pool, tree, 1, part.processors(), h.interpolation,
-                        [&](core::RankPairAccumulator& acc, unsigned l,
-                            std::size_t lo, std::size_t hi) {
-                          interp_range_into<D>(tree, own, acc, l, lo, hi);
+    histogram_levels<D>(pool, tree, 1, owners, procs, interpolation,
+                        [&](auto sink, unsigned l, std::size_t lo,
+                            std::size_t hi) {
+                          interp_range_into<D>(tree, sink, l, lo, hi);
                         });
   }
   {
     const obs::Span span("ffi/interaction");
-    histogram_levels<D>(pool, tree, 2, part.processors(), h.interaction,
-                        [&](core::RankPairAccumulator& acc, unsigned l,
-                            std::size_t lo, std::size_t hi) {
-                          il_range_into<D>(tree, own, acc, l, lo, hi);
+    histogram_levels<D>(pool, tree, 2, owners, procs, interaction,
+                        [&](auto sink, unsigned l, std::size_t lo,
+                            std::size_t hi) {
+                          il_range_into<D>(tree, sink, l, lo, hi);
                         });
   }
-  return h;
+  std::vector<FfiHistograms> out;
+  out.reserve(parts.size());
+  for (std::size_t k = 0; k < parts.size(); ++k) {
+    out.emplace_back(std::move(interpolation[k]), std::move(interaction[k]));
+  }
+  return out;
+}
+
+template <int D>
+FfiHistograms ffi_histograms(const CellTree<D>& tree, const Partition& part,
+                             util::ThreadPool* pool) {
+  return std::move(ffi_histograms<D>(tree, std::span(&part, 1), pool).front());
 }
 
 FfiTotals ffi_fold(const FfiHistograms& hist, const topo::Topology& net) {
@@ -362,5 +376,9 @@ template FfiHistograms ffi_histograms<2>(const CellTree<2>&, const Partition&,
                                          util::ThreadPool*);
 template FfiHistograms ffi_histograms<3>(const CellTree<3>&, const Partition&,
                                          util::ThreadPool*);
+template std::vector<FfiHistograms> ffi_histograms<2>(
+    const CellTree<2>&, std::span<const Partition>, util::ThreadPool*);
+template std::vector<FfiHistograms> ffi_histograms<3>(
+    const CellTree<3>&, std::span<const Partition>, util::ThreadPool*);
 
 }  // namespace sfc::fmm

@@ -17,6 +17,8 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "core/rank_pair.hpp"
@@ -120,6 +122,9 @@ struct FfiHistograms {
 
   explicit FfiHistograms(topo::Rank procs)
       : interpolation(procs), interaction(procs) {}
+  FfiHistograms(core::RankPairAccumulator interp,
+                core::RankPairAccumulator inter)
+      : interpolation(std::move(interp)), interaction(std::move(inter)) {}
 
   std::size_t memory_bytes() const noexcept {
     return interpolation.memory_bytes() + interaction.memory_bytes();
@@ -143,10 +148,7 @@ inline std::optional<FfiHistograms> ffi_histograms_deserialize(
   auto interaction = core::rank_pairs_deserialize(data, size, offset);
   if (!interaction) return std::nullopt;
   if (interpolation->procs() != interaction->procs()) return std::nullopt;
-  FfiHistograms hist(interpolation->procs());
-  hist.interpolation = std::move(*interpolation);
-  hist.interaction = std::move(*interaction);
-  return hist;
+  return FfiHistograms(std::move(*interpolation), std::move(*interaction));
 }
 
 /// Build the FFI histograms for a prepared cell tree. The sweep engine
@@ -157,6 +159,16 @@ inline std::optional<FfiHistograms> ffi_histograms_deserialize(
 template <int D>
 FfiHistograms ffi_histograms(const CellTree<D>& tree, const Partition& part,
                              util::ThreadPool* pool = nullptr);
+
+/// ffi_histograms for several partitions of the same ordering (one per
+/// processor count) in one tree walk: the event multiset is a function of
+/// the tree alone and only the owner ranks differ per partition, so each
+/// event is recorded into every partition's histograms. Element k equals
+/// ffi_histograms(tree, parts[k], pool).
+template <int D>
+std::vector<FfiHistograms> ffi_histograms(const CellTree<D>& tree,
+                                          std::span<const Partition> parts,
+                                          util::ThreadPool* pool = nullptr);
 
 /// Fold prebuilt FFI histograms against a topology (cached hop table when
 /// p fits the table budget, per-pair distance() beyond it).
@@ -184,5 +196,9 @@ extern template FfiHistograms ffi_histograms<2>(const CellTree<2>&,
 extern template FfiHistograms ffi_histograms<3>(const CellTree<3>&,
                                                 const Partition&,
                                                 util::ThreadPool*);
+extern template std::vector<FfiHistograms> ffi_histograms<2>(
+    const CellTree<2>&, std::span<const Partition>, util::ThreadPool*);
+extern template std::vector<FfiHistograms> ffi_histograms<3>(
+    const CellTree<3>&, std::span<const Partition>, util::ThreadPool*);
 
 }  // namespace sfc::fmm

@@ -1,10 +1,12 @@
 #include "fmm/nfi.hpp"
 
 #include <algorithm>
+#include <cassert>
 #include <utility>
 
 #include "core/rank_pair.hpp"
 #include "fmm/nfi_window.hpp"
+#include "fmm/owner_sink.hpp"
 #include "obs/trace.hpp"
 #include "util/simd.hpp"
 
@@ -210,20 +212,20 @@ void nfi_range_into(const std::vector<Point<D>>& particles,
 }
 
 /// nfi_range_into for particles in arbitrary array order: the source rank
-/// comes from the owner table per particle instead of the contiguous
+/// comes from the owner tables per particle instead of the contiguous
 /// partition runs, so there is no run to hoist — but the emitted event
 /// multiset is identical for the identical particle/owner assignment
 /// (every event is (owner of x, owner of y) over the same spatial pairs,
-/// and the half-window orientation is spatial, not positional).
-template <int D>
+/// and the half-window orientation is spatial, not positional). Events go
+/// to `sink` (fmm/owner_sink.hpp), which records them for every owner
+/// table of the walk.
+template <int D, typename Sink>
 void nfi_range_into_owners(const std::vector<Point<D>>& particles,
-                           const OccupancyGrid<D>& grid,
-                           const std::vector<topo::Rank>& owners,
-                           core::RankPairAccumulator& acc, unsigned radius,
-                           NeighborNorm norm, std::size_t lo, std::size_t hi) {
+                           const OccupancyGrid<D>& grid, Sink sink,
+                           unsigned radius, NeighborNorm norm, std::size_t lo,
+                           std::size_t hi) {
   const std::int32_t* cells = grid.dense_cells();
   const std::int64_t r = radius;
-  const topo::Rank* own = owners.data();
 
   if constexpr (D == 2) {
     if (cells != nullptr) {
@@ -237,36 +239,28 @@ void nfi_range_into_owners(const std::vector<Point<D>>& particles,
           scratch.resize(static_cast<std::size_t>(2 * r * r + 2 * r + 7));
         }
       }
-      auto scan = [&](const Point<2>& p, auto&& push) {
-        if (collect != nullptr) {
-          const std::size_t m =
-              collect(cells, level, p[0], p[1], static_cast<std::uint32_t>(r),
-                      norm == NeighborNorm::kChebyshev, scratch.data());
-          for (std::size_t k = 0; k < m; ++k) push(scratch[k]);
-        } else {
-          halfwindow_dense2(cells, level, p, r, norm, push);
-        }
-      };
       for (std::size_t i = lo; i < hi; ++i) {
-        const topo::Rank src = own[i];
-        std::uint64_t* row = acc.row(src);
-        if (row != nullptr) {
-          scan(particles[i], [&](std::int32_t j) {
-            row[own[static_cast<std::size_t>(j)]] += 2;
-          });
-        } else {
-          scan(particles[i], [&](std::int32_t j) {
-            acc.add(src, own[static_cast<std::size_t>(j)], 2);
-          });
-        }
+        const Point<2>& p = particles[i];
+        // Half-window scan: each neighbor stands for both directed
+        // events, recorded as one count-2 entry on the source's row.
+        sink.scan_from(i, 2, [&](auto&& push) {
+          if (collect != nullptr) {
+            const std::size_t m = collect(
+                cells, level, p[0], p[1], static_cast<std::uint32_t>(r),
+                norm == NeighborNorm::kChebyshev, scratch.data());
+            for (std::size_t k = 0; k < m; ++k) push(scratch[k]);
+          } else {
+            halfwindow_dense2(cells, level, p, r, norm, push);
+          }
+        });
       }
       return;
     }
   }
   for (std::size_t i = lo; i < hi; ++i) {
-    const topo::Rank src = own[i];
-    visit_neighbors<D>(grid, cells, particles[i], r, norm,
-                       [&](std::size_t j) { acc.add(src, own[j]); });
+    sink.scan_from(i, 1, [&](auto&& push) {
+      visit_neighbors<D>(grid, cells, particles[i], r, norm, push);
+    });
   }
 }
 
@@ -337,27 +331,47 @@ core::RankPairAccumulator nfi_histogram(const std::vector<Point<D>>& particles,
 }
 
 template <int D>
+std::vector<core::RankPairAccumulator> nfi_histogram_owners(
+    const std::vector<Point<D>>& particles, const OccupancyGrid<D>& grid,
+    std::span<const std::vector<topo::Rank>> owners,
+    std::span<const topo::Rank> procs, unsigned radius, NeighborNorm norm,
+    util::ThreadPool* pool) {
+  assert(owners.size() == procs.size());
+  const obs::Span span("nfi/enumerate");
+  std::vector<core::RankPairAccumulator> accs;
+  accs.reserve(procs.size());
+  for (const topo::Rank p : procs) accs.emplace_back(p);
+  if (particles.empty() || accs.empty()) return accs;
+  const detail::OwnerTables tables(owners);
+  const auto chunk = [&](std::span<core::RankPairAccumulator> into,
+                         std::size_t lo, std::size_t hi) {
+    tables.with(into, [&](auto sink) {
+      nfi_range_into_owners<D>(particles, grid, sink, radius, norm, lo, hi);
+    });
+  };
+  if (pool == nullptr || pool->size() <= 1) {
+    chunk(accs, 0, particles.size());
+    return accs;
+  }
+  core::RankPairShards shards(procs, pool->size());
+  util::parallel_for_chunks(*pool, 0, particles.size(), util::kAutoGrain,
+                            [&](std::size_t lo, std::size_t hi) {
+                              chunk(shards.locals(), lo, hi);
+                            });
+  shards.merge_into(accs);
+  return accs;
+}
+
+template <int D>
 core::RankPairAccumulator nfi_histogram_owners(
     const std::vector<Point<D>>& particles, const OccupancyGrid<D>& grid,
     const std::vector<topo::Rank>& owners, topo::Rank procs, unsigned radius,
     NeighborNorm norm, util::ThreadPool* pool) {
-  const obs::Span span("nfi/enumerate");
-  core::RankPairAccumulator acc(procs);
-  if (particles.empty()) return acc;
-  if (pool == nullptr || pool->size() <= 1) {
-    nfi_range_into_owners<D>(particles, grid, owners, acc, radius, norm, 0,
-                             particles.size());
-    return acc;
-  }
-  core::RankPairShards shards(procs, pool->size());
-  util::parallel_for_chunks(
-      *pool, 0, particles.size(), util::kAutoGrain,
-      [&](std::size_t lo, std::size_t hi) {
-        nfi_range_into_owners<D>(particles, grid, owners, shards.local(),
-                                 radius, norm, lo, hi);
-      });
-  shards.merge_into(acc);
-  return acc;
+  return std::move(nfi_histogram_owners<D>(particles, grid,
+                                           std::span(&owners, 1),
+                                           std::span(&procs, 1), radius, norm,
+                                           pool)
+                       .front());
 }
 
 template <int D>
@@ -414,5 +428,13 @@ template core::RankPairAccumulator nfi_histogram_owners<3>(
     const std::vector<Point<3>>&, const OccupancyGrid<3>&,
     const std::vector<topo::Rank>&, topo::Rank, unsigned, NeighborNorm,
     util::ThreadPool*);
+template std::vector<core::RankPairAccumulator> nfi_histogram_owners<2>(
+    const std::vector<Point<2>>&, const OccupancyGrid<2>&,
+    std::span<const std::vector<topo::Rank>>, std::span<const topo::Rank>,
+    unsigned, NeighborNorm, util::ThreadPool*);
+template std::vector<core::RankPairAccumulator> nfi_histogram_owners<3>(
+    const std::vector<Point<3>>&, const OccupancyGrid<3>&,
+    std::span<const std::vector<topo::Rank>>, std::span<const topo::Rank>,
+    unsigned, NeighborNorm, util::ThreadPool*);
 
 }  // namespace sfc::fmm

@@ -8,6 +8,7 @@
 // the Manhattan ball selectable for ANNS-style studies.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "core/rank_pair.hpp"
@@ -69,6 +70,19 @@ core::RankPairAccumulator nfi_histogram_owners(
     NeighborNorm norm = NeighborNorm::kChebyshev,
     util::ThreadPool* pool = nullptr);
 
+/// nfi_histogram_owners for several owner tables over the same particles
+/// (the partitions of one ordering at several processor counts) in one
+/// window scan: the spatial event pairs do not depend on the owners, so
+/// each is recorded into every table's histogram. Element k equals
+/// nfi_histogram_owners(particles, grid, owners[k], procs[k], ...).
+template <int D>
+std::vector<core::RankPairAccumulator> nfi_histogram_owners(
+    const std::vector<Point<D>>& particles, const OccupancyGrid<D>& grid,
+    std::span<const std::vector<topo::Rank>> owners,
+    std::span<const topo::Rank> procs, unsigned radius,
+    NeighborNorm norm = NeighborNorm::kChebyshev,
+    util::ThreadPool* pool = nullptr);
+
 /// Reference implementation: one virtual distance() dispatch per event.
 /// O(events) distance lookups instead of O(p²); the equivalence tests
 /// pin nfi_totals to this path bit-for-bit.
@@ -111,5 +125,13 @@ extern template core::RankPairAccumulator nfi_histogram_owners<3>(
     const std::vector<Point<3>>&, const OccupancyGrid<3>&,
     const std::vector<topo::Rank>&, topo::Rank, unsigned, NeighborNorm,
     util::ThreadPool*);
+extern template std::vector<core::RankPairAccumulator> nfi_histogram_owners<2>(
+    const std::vector<Point<2>>&, const OccupancyGrid<2>&,
+    std::span<const std::vector<topo::Rank>>, std::span<const topo::Rank>,
+    unsigned, NeighborNorm, util::ThreadPool*);
+extern template std::vector<core::RankPairAccumulator> nfi_histogram_owners<3>(
+    const std::vector<Point<3>>&, const OccupancyGrid<3>&,
+    std::span<const std::vector<topo::Rank>>, std::span<const topo::Rank>,
+    unsigned, NeighborNorm, util::ThreadPool*);
 
 }  // namespace sfc::fmm

@@ -6,11 +6,17 @@
 #include "core/sweep.hpp"
 
 #include <gtest/gtest.h>
+#include <stdlib.h>
 
 #include <cstring>
+#include <filesystem>
+#include <optional>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
+#include "core/artifact_store.hpp"
+#include "obs/flight.hpp"
 #include "util/thread_pool.hpp"
 
 namespace sfc::core {
@@ -272,6 +278,152 @@ TEST(SweepEngine, DuplicateAxisValuesShareEveryArtifact) {
         }
       }
     }
+  }
+}
+
+/// A fresh artifact-store directory, removed afterwards.
+class SweepStoreDir {
+ public:
+  SweepStoreDir() {
+    char tmpl[] = "/tmp/sfcacd_sweep_test_XXXXXX";
+    if (::mkdtemp(tmpl) != nullptr) path_ = tmpl;
+  }
+  ~SweepStoreDir() {
+    std::error_code ec;
+    if (!path_.empty()) std::filesystem::remove_all(path_, ec);
+  }
+  bool ok() const { return !path_.empty(); }
+  ArtifactStoreOptions options() const {
+    ArtifactStoreOptions o;
+    o.dir = path_;
+    o.provenance = "sweep-test-build";
+    return o;
+  }
+
+ private:
+  std::string path_;
+};
+
+/// Count of `name` spans in the flight recorder's stage profile (0 when
+/// the name never completed).
+std::uint64_t span_count(const std::string& profile, const std::string& name) {
+  const auto at = profile.find('"' + name + "\":{\"count\":");
+  if (at == std::string::npos) return 0;
+  return std::stoull(profile.substr(at + name.size() + 12));
+}
+
+TEST(SweepEngine, HistogramsShareOneWalkPerOrdering) {
+#if defined(SFC_OBS_DISABLE)
+  GTEST_SKIP() << "built with SFC_OBS_DISABLE: spans compile to no-ops";
+#endif
+  // The per-p histograms of one (sample, ordering) come from one window
+  // scan and one tree walk, each under one stage span, while builds and
+  // hits stay per (ordering, p). Only the processor counts the store
+  // does not answer join the walk; an ordering with none left walks
+  // nothing.
+  Study s = toy_topology_study();
+  s.trials = 2;
+  s.proc_counts = {16, 64, 256};
+  const SweepStoreDir dir;
+  ASSERT_TRUE(dir.ok());
+  obs::FlightRecorder& rec = obs::FlightRecorder::instance();
+  struct Walks {
+    std::uint64_t nfi = 0;
+    std::uint64_t ffi = 0;
+    SweepStats stats;
+  };
+  // The profile is read only once the run's pool (if any) has joined:
+  // a worker may still be closing its task span when run_study returns.
+  const auto walks_of = [&rec, &dir](const Study& study, unsigned threads,
+                                     bool with_store) {
+    rec.clear();
+    rec.set_enabled(true);
+    Walks w;
+    {
+      std::optional<util::ThreadPool> pool;
+      std::optional<ArtifactStore> store;
+      SweepOptions options;
+      if (threads > 1) options.pool = &pool.emplace(threads);
+      if (with_store) options.store = &store.emplace(dir.options());
+      w.stats = run_study(study, options).sweep;
+    }
+    rec.set_enabled(false);
+    const std::string profile = rec.stage_profile_json();
+    w.nfi = span_count(profile, "sweep/nfi_histogram");
+    w.ffi = span_count(profile, "sweep/ffi_histogram");
+    rec.clear();
+    return w;
+  };
+
+  // 2 trials x 3 curves = 6 (sample, ordering) pairs, 3 p each.
+  for (const unsigned threads : {1u, 4u}) {
+    const Walks cold = walks_of(s, threads, false);
+    EXPECT_EQ(cold.nfi, 6u) << threads << " threads";
+    EXPECT_EQ(cold.ffi, 6u) << threads << " threads";
+    EXPECT_EQ(cold.stats.stage(SweepStage::kNfiHistogram).misses, 18u);
+    EXPECT_EQ(cold.stats.stage(SweepStage::kFfiHistogram).misses, 18u);
+    EXPECT_EQ(cold.stats.stage(SweepStage::kFfiHistogram).hits, 54u);
+  }
+
+  // Seed the store with p = 64 only: every ordering still misses 16 and
+  // 256, so it still walks once.
+  Study seed = s;
+  seed.proc_counts = {64};
+  const Walks seeded = walks_of(seed, 1, true);
+  EXPECT_EQ(seeded.nfi, 6u);
+  EXPECT_EQ(seeded.ffi, 6u);
+  const Walks partial = walks_of(s, 4, true);
+  EXPECT_EQ(partial.nfi, 6u);
+  EXPECT_EQ(partial.ffi, 6u);
+  // Everything is stored now: no ordering has a p left to walk.
+  const Walks warm = walks_of(s, 1, true);
+  EXPECT_EQ(warm.nfi, 0u);
+  EXPECT_EQ(warm.ffi, 0u);
+}
+
+TEST(SweepEngine, WarmStoreLoadsFoldsOnly) {
+  // A fold the store answers needs none of its inputs, so a warm rerun
+  // plans its folds (and the cheap, coordinator-built topologies) and
+  // nothing else: no sample, canonical, ordering, instance or histogram
+  // is looked up, let alone loaded.
+  Study s = toy_combination_study();
+  s.trials = 2;
+  s.proc_counts = {16, 64};
+  const SweepStoreDir dir;
+  ASSERT_TRUE(dir.ok());
+  StudyResult cold;
+  {
+    ArtifactStore store(dir.options());
+    SweepOptions options;
+    options.store = &store;
+    cold = run_study(s, options);
+    EXPECT_EQ(store.stats().hits, 0u);
+  }
+  util::ThreadPool pool(4);
+  for (util::ThreadPool* p : {static_cast<util::ThreadPool*>(nullptr), &pool}) {
+    ArtifactStore store(dir.options());
+    SweepOptions options;
+    options.store = &store;
+    options.pool = p;
+    const StudyResult warm = run_study(s, options);
+    expect_bit_identical(warm, cold);
+    const SweepStats& st = warm.sweep;
+    for (const SweepStage stage :
+         {SweepStage::kSample, SweepStage::kCanonical, SweepStage::kOrdering,
+          SweepStage::kInstance, SweepStage::kNfiHistogram,
+          SweepStage::kFfiHistogram}) {
+      EXPECT_EQ(st.stage(stage).hits + st.stage(stage).misses, 0u)
+          << sweep_stage_name(stage);
+    }
+    EXPECT_EQ(st.stage(SweepStage::kTopology).misses,
+              cold.sweep.stage(SweepStage::kTopology).misses);
+    EXPECT_EQ(st.stage(SweepStage::kFold).misses,
+              cold.sweep.stage(SweepStage::kFold).misses);
+    // Every store load is a fold.
+    const ArtifactStore::Stats io = store.stats();
+    EXPECT_EQ(io.hits, st.stage(SweepStage::kFold).misses);
+    EXPECT_EQ(io.misses, 0u);
+    EXPECT_EQ(io.spills, 0u);
   }
 }
 

@@ -5,6 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <random>
+#include <tuple>
 #include <vector>
 
 #include "fmm/cells.hpp"
@@ -216,6 +219,112 @@ TEST(Ffi, DeeperTreesAccumulateMoreInterpolation) {
   EXPECT_EQ(interp_count(2), 4u);
   EXPECT_EQ(interp_count(3), 6u);
   EXPECT_EQ(interp_count(5), 10u);
+}
+
+// ------------------------------------------------- several partitions
+
+/// `n` particles in distinct cells of a 2^level grid, in a shuffled order
+/// (ownership follows array position, so chunks are not spatially
+/// coherent).
+template <int D>
+std::vector<Point<D>> scattered_particles(std::size_t n, unsigned level) {
+  std::mt19937_64 rng(0x5eedu + n + level);
+  const std::uint32_t side = 1u << level;
+  std::vector<Point<D>> out(n);
+  for (Point<D>& p : out) {
+    for (int k = 0; k < D; ++k) p[k] = static_cast<std::uint32_t>(rng() % side);
+  }
+  std::sort(out.begin(), out.end(), [](const Point<D>& a, const Point<D>& b) {
+    return cell_key(a) < cell_key(b);
+  });
+  out.erase(std::unique(out.begin(), out.end()), out.end());
+  std::shuffle(out.begin(), out.end(), rng);
+  return out;
+}
+
+using PairList = std::vector<std::tuple<topo::Rank, topo::Rank, std::uint64_t>>;
+
+PairList pairs_of(const core::RankPairAccumulator& acc) {
+  PairList out;
+  acc.for_each([&out](topo::Rank a, topo::Rank b, std::uint64_t c) {
+    out.emplace_back(a, b, c);
+  });
+  return out;
+}
+
+std::vector<std::uint8_t> bytes_of(const core::RankPairAccumulator& acc) {
+  std::vector<std::uint8_t> out;
+  core::rank_pairs_serialize(acc, out);
+  return out;
+}
+
+/// One walk over several partitions must equal one walk per partition:
+/// same pair multisets, same codec bytes (and so the same dense/sparse
+/// mode), serially and on a 4-thread pool.
+template <int D>
+void expect_multi_walk_matches_single(std::size_t n, unsigned level,
+                                      const std::vector<topo::Rank>& procs) {
+  const std::vector<Point<D>> particles = scattered_particles<D>(n, level);
+  const CellTree<D> tree(particles, level);
+  std::vector<Partition> parts;
+  for (const topo::Rank p : procs) parts.emplace_back(particles.size(), p);
+  util::ThreadPool four(4);
+  for (util::ThreadPool* pool : {static_cast<util::ThreadPool*>(nullptr), &four}) {
+    const std::vector<FfiHistograms> multi =
+        ffi_histograms<D>(tree, parts, pool);
+    ASSERT_EQ(multi.size(), parts.size());
+    for (std::size_t k = 0; k < parts.size(); ++k) {
+      const FfiHistograms single = ffi_histograms<D>(tree, parts[k], pool);
+      const char* where = pool == nullptr ? "serial" : "4 threads";
+      EXPECT_EQ(pairs_of(multi[k].interpolation),
+                pairs_of(single.interpolation))
+          << "p=" << procs[k] << ", " << where;
+      EXPECT_EQ(pairs_of(multi[k].interaction), pairs_of(single.interaction))
+          << "p=" << procs[k] << ", " << where;
+      EXPECT_EQ(bytes_of(multi[k].interpolation),
+                bytes_of(single.interpolation))
+          << "p=" << procs[k] << ", " << where;
+      EXPECT_EQ(bytes_of(multi[k].interaction), bytes_of(single.interaction))
+          << "p=" << procs[k] << ", " << where;
+      EXPECT_GT(multi[k].interaction.events(), 0u);
+    }
+  }
+}
+
+TEST(FfiMultiPartition, TwoDimensionalMatchesSeparateWalks) {
+  // ~6000 particles at level 8: the finest levels pass the 4096-cell
+  // fan-out cutoff. p = 7 and 1000 do not divide n; p = 4096 is past
+  // the dense budget (sparse) and past n; p = 1 is the degenerate case.
+  expect_multi_walk_matches_single<2>(6000, 8, {1, 7, 64, 1000, 4096});
+}
+
+TEST(FfiMultiPartition, ThreeDimensionalMatchesSeparateWalks) {
+  expect_multi_walk_matches_single<3>(3000, 5, {3, 8, 512, 4096});
+}
+
+TEST(FfiMultiPartition, MixesDenseAndSparseHistograms) {
+  const std::vector<Point2> particles = scattered_particles<2>(500, 6);
+  const CellTree<2> tree(particles, 6);
+  const std::vector<Partition> parts = {Partition(particles.size(), 600),
+                                        Partition(particles.size(), 5000)};
+  const std::vector<FfiHistograms> multi = ffi_histograms<2>(tree, parts);
+  // p = 600 > n stays dense; p = 5000 exceeds the dense budget.
+  EXPECT_TRUE(multi[0].interaction.dense());
+  EXPECT_FALSE(multi[1].interaction.dense());
+  EXPECT_EQ(multi[0].interaction.events(), multi[1].interaction.events());
+  EXPECT_EQ(multi[0].interpolation.events(), multi[1].interpolation.events());
+}
+
+TEST(FfiMultiPartition, SinglePartitionOverloadIsTheOneElementCase) {
+  const std::vector<Point2> particles = scattered_particles<2>(800, 6);
+  const CellTree<2> tree(particles, 6);
+  const Partition part(particles.size(), 16);
+  const std::vector<FfiHistograms> one =
+      ffi_histograms<2>(tree, std::span<const Partition>(&part, 1));
+  ASSERT_EQ(one.size(), 1u);
+  const FfiHistograms single = ffi_histograms<2>(tree, part);
+  EXPECT_EQ(bytes_of(one[0].interpolation), bytes_of(single.interpolation));
+  EXPECT_EQ(bytes_of(one[0].interaction), bytes_of(single.interaction));
 }
 
 }  // namespace

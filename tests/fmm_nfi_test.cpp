@@ -5,8 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <random>
+#include <tuple>
 #include <vector>
 
+#include "fmm/cells.hpp"
 #include "topology/linear.hpp"
 #include "util/simd.hpp"
 #include "util/thread_pool.hpp"
@@ -162,6 +166,121 @@ TEST(Nfi, SimdHalfWindowMatchesForcedScalar) {
       EXPECT_GT(dispatched.count, 0u);
     }
   }
+}
+
+// ------------------------------------------------- several owner tables
+
+/// `n` particles in distinct cells of a 2^level grid, in a shuffled order.
+template <int D>
+std::vector<Point<D>> scattered_particles(std::size_t n, unsigned level) {
+  std::mt19937_64 rng(0xa11ceu + n + level);
+  const std::uint32_t side = 1u << level;
+  std::vector<Point<D>> out(n);
+  for (Point<D>& p : out) {
+    for (int k = 0; k < D; ++k) p[k] = static_cast<std::uint32_t>(rng() % side);
+  }
+  std::sort(out.begin(), out.end(), [](const Point<D>& a, const Point<D>& b) {
+    return cell_key(a) < cell_key(b);
+  });
+  out.erase(std::unique(out.begin(), out.end()), out.end());
+  std::shuffle(out.begin(), out.end(), rng);
+  return out;
+}
+
+using PairList = std::vector<std::tuple<topo::Rank, topo::Rank, std::uint64_t>>;
+
+PairList pairs_of(const core::RankPairAccumulator& acc) {
+  PairList out;
+  acc.for_each([&out](topo::Rank a, topo::Rank b, std::uint64_t c) {
+    out.emplace_back(a, b, c);
+  });
+  return out;
+}
+
+std::vector<std::uint8_t> bytes_of(const core::RankPairAccumulator& acc) {
+  std::vector<std::uint8_t> out;
+  core::rank_pairs_serialize(acc, out);
+  return out;
+}
+
+/// One window scan over several owner tables must equal one scan per
+/// table: same pair multisets and codec bytes, serially and on a
+/// 4-thread pool, for every radius/norm path of dimension D. The owner
+/// tables are a contiguous partition of a scrambled particle order, as
+/// the sweep engine builds them.
+template <int D>
+void expect_multi_scan_matches_single(std::size_t n, unsigned level,
+                                      const std::vector<topo::Rank>& procs,
+                                      const std::vector<unsigned>& radii) {
+  const std::vector<Point<D>> particles = scattered_particles<D>(n, level);
+  const OccupancyGrid<D> grid(particles, level);
+  std::vector<std::size_t> order(particles.size());
+  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+  std::shuffle(order.begin(), order.end(), std::mt19937_64(7));
+  std::vector<std::vector<topo::Rank>> owners;
+  for (const topo::Rank p : procs) {
+    const std::vector<topo::Rank> by_rank =
+        Partition(particles.size(), p).owner_table();
+    std::vector<topo::Rank>& own = owners.emplace_back(particles.size());
+    for (std::size_t i = 0; i < own.size(); ++i) own[i] = by_rank[order[i]];
+  }
+  util::ThreadPool four(4);
+  for (const unsigned radius : radii) {
+    for (const NeighborNorm norm :
+         {NeighborNorm::kChebyshev, NeighborNorm::kManhattan}) {
+      for (util::ThreadPool* pool :
+           {static_cast<util::ThreadPool*>(nullptr), &four}) {
+        const std::vector<core::RankPairAccumulator> multi =
+            nfi_histogram_owners<D>(particles, grid, owners, procs, radius,
+                                    norm, pool);
+        ASSERT_EQ(multi.size(), procs.size());
+        for (std::size_t k = 0; k < procs.size(); ++k) {
+          const core::RankPairAccumulator single = nfi_histogram_owners<D>(
+              particles, grid, owners[k], procs[k], radius, norm, pool);
+          const std::string where =
+              "p=" + std::to_string(procs[k]) + " r=" +
+              std::to_string(radius) +
+              (norm == NeighborNorm::kChebyshev ? " chebyshev" : " manhattan") +
+              (pool == nullptr ? " serial" : " 4 threads");
+          EXPECT_EQ(pairs_of(multi[k]), pairs_of(single)) << where;
+          EXPECT_EQ(bytes_of(multi[k]), bytes_of(single)) << where;
+          EXPECT_GT(multi[k].events(), 0u) << where;
+        }
+      }
+    }
+  }
+}
+
+TEST(NfiMultiOwners, TwoDimensionalMatchesSeparateScans) {
+  // r = 1 takes the per-cell half-window scan, r = 3 the SIMD compaction
+  // where the host has it. p = 7 and 1000 do not divide n; p = 4096 is
+  // sparse and past n.
+  expect_multi_scan_matches_single<2>(3000, 7, {1, 7, 64, 1000, 4096},
+                                      {1, 3});
+}
+
+TEST(NfiMultiOwners, ThreeDimensionalMatchesSeparateScans) {
+  expect_multi_scan_matches_single<3>(2000, 4, {3, 8, 4096}, {1, 2});
+}
+
+TEST(NfiMultiOwners, ForcedScalarMatchesSeparateScans) {
+  const util::simd::ScopedForceScalar force;
+  expect_multi_scan_matches_single<2>(1500, 6, {5, 64, 3000}, {2});
+}
+
+TEST(NfiMultiOwners, MixesDenseAndSparseHistograms) {
+  const std::vector<Point2> particles = scattered_particles<2>(400, 5);
+  const OccupancyGrid<2> grid(particles, 5);
+  const std::vector<topo::Rank> procs = {500, 5000};
+  std::vector<std::vector<topo::Rank>> owners;
+  for (const topo::Rank p : procs) {
+    owners.push_back(Partition(particles.size(), p).owner_table());
+  }
+  const std::vector<core::RankPairAccumulator> multi =
+      nfi_histogram_owners<2>(particles, grid, owners, procs, 1);
+  EXPECT_TRUE(multi[0].dense());
+  EXPECT_FALSE(multi[1].dense());
+  EXPECT_EQ(multi[0].events(), multi[1].events());
 }
 
 }  // namespace

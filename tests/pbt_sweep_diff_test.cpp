@@ -141,6 +141,30 @@ Gen<core::Study> study_gen() {
       }};
 }
 
+/// study_gen with 2-4 processor counts per study: every ordering feeds
+/// several histograms from one walk. The counts include p past the dense
+/// budget (4096, sparse histograms), p > n, and p that do not divide n.
+Gen<core::Study> multi_procs_study_gen() {
+  const Gen<core::Study> base = study_gen();
+  return Gen<core::Study>{
+      [base](Rand& r) {
+        core::Study s = base.sample(r);
+        const topo::Rank pc_options[] = {1, 4, 16, 64, 256, 4096};
+        s.proc_counts = subset_of(r, pc_options, r.between(2, 4));
+        return s;
+      },
+      [base](const core::Study& s, std::vector<core::Study>& out) {
+        if (s.proc_counts.size() > 2) {
+          core::Study fewer = s;
+          fewer.proc_counts.pop_back();
+          out.push_back(fewer);
+        }
+        for (const core::Study& smaller : base.shrinks(s)) {
+          if (smaller.proc_counts.size() >= 2) out.push_back(smaller);
+        }
+      }};
+}
+
 // Exact (bit-level) comparison helpers: the engine's contract is
 // bit-identical results, not approximately-equal ones.
 
@@ -279,6 +303,101 @@ struct TempStoreDir {
   }
   std::string path;
 };
+
+/// Per-stage hits and builds only: unlike same_sweep_stats, built_bytes
+/// is left out, because a sparse histogram's sealed run keeps the
+/// capacity of its merge history, which depends on how many shards fed
+/// it.
+bool same_sweep_counts(const core::SweepStats& a, const core::SweepStats& b) {
+  for (unsigned i = 0; i < core::kSweepStageCount; ++i) {
+    if (a.stages[i].hits != b.stages[i].hits ||
+        a.stages[i].misses != b.stages[i].misses) {
+      return false;
+    }
+  }
+  return true;
+}
+
+TEST(SweepDiff, SeveralProcessorCountsShareOneWalkExactly) {
+  // Each ordering's histograms for every p come from one shared walk.
+  // Whatever the set of p — and whichever of them a pre-seeded store
+  // already answers, so that only the rest join the walk — the cells
+  // must match the from-scratch oracle bit for bit, and the counters
+  // must not depend on the thread count.
+  SFCACD_PBT_CHECK_CFG(
+      multi_procs_study_gen(), CheckConfig{}.scaled(0.03),
+      [](const core::Study& s) -> std::optional<std::string> {
+        core::SweepOptions oracle;
+        oracle.reuse = false;
+        const core::StudyResult base = core::run_study(s, oracle);
+        core::SweepOptions threaded;
+        threaded.pool = &shared_pool();
+        const core::StudyResult serial =
+            core::run_study(s, core::SweepOptions{});
+        const core::StudyResult t = core::run_study(s, threaded);
+        if (auto err = expect_same_cells(base, serial, "no-reuse vs serial")) {
+          return err;
+        }
+        if (auto err = expect_same_cells(base, t, "no-reuse vs threaded")) {
+          return err;
+        }
+        if (!same_sweep_counts(serial.sweep, t.sweep)) {
+          return std::string("threaded sweep counters differ from serial");
+        }
+
+        // Seed a store with every other p, then run the full study over
+        // it serially and threaded (one copy of the seeded store each).
+        // One topology, paired curves and one trial keep the store I/O
+        // small; the processor-count axis is what matters here.
+        core::Study st = s;
+        st.topologies.resize(1);
+        st.processor_curves.clear();
+        st.trials = 1;
+        const core::StudyResult st_base = core::run_study(st, oracle);
+        core::Study seed = st;
+        seed.proc_counts.clear();
+        for (std::size_t i = 0; i < st.proc_counts.size(); i += 2) {
+          seed.proc_counts.push_back(st.proc_counts[i]);
+        }
+        const TempStoreDir serial_dir;
+        const TempStoreDir threaded_dir;
+        if (serial_dir.path.empty() || threaded_dir.path.empty()) {
+          return std::string("mkdtemp failed");
+        }
+        {
+          core::ArtifactStore store(serial_dir.options());
+          core::SweepOptions cold;
+          cold.store = &store;
+          (void)core::run_study(seed, cold);
+        }
+        std::filesystem::copy(serial_dir.path, threaded_dir.path,
+                              std::filesystem::copy_options::recursive |
+                                  std::filesystem::copy_options::
+                                      overwrite_existing);
+        std::optional<core::SweepStats> serial_stats;
+        for (const TempStoreDir* dir : {&serial_dir, &threaded_dir}) {
+          core::ArtifactStore store(dir->options());
+          core::SweepOptions partial;
+          partial.store = &store;
+          if (dir == &threaded_dir) partial.pool = &shared_pool();
+          const core::StudyResult w = core::run_study(st, partial);
+          if (auto err =
+                  expect_same_cells(st_base, w, "pre-seeded store run")) {
+            return err;
+          }
+          if (store.stats().hits == 0) {
+            return std::string("pre-seeded store never hit");
+          }
+          if (!serial_stats) {
+            serial_stats = w.sweep;
+          } else if (!same_sweep_counts(*serial_stats, w.sweep)) {
+            return std::string(
+                "pre-seeded store run: threaded counters differ from serial");
+          }
+        }
+        return std::nullopt;
+      });
+}
 
 TEST(SweepDiff, StoreRoundTripIsBitIdenticalAndWarmRunsHit) {
   SFCACD_PBT_CHECK_CFG(
