@@ -31,8 +31,8 @@ RankPairAccumulator::RankPairAccumulator(topo::Rank procs,
 
 namespace {
 
-using Entry = std::pair<std::uint64_t, std::uint64_t>;
-using Run = std::vector<Entry>;
+using Entry = RankPairAccumulator::Entry;
+using Run = RankPairAccumulator::Run;
 
 /// A run this many times smaller than the one it joins merges backwards
 /// into it in place instead of into a fresh vector.
@@ -87,6 +87,29 @@ void merge_runs(Run& a, Run& b) {
   b.clear();
 }
 
+/// Radix-sort `entries` by key (through `scratch`) and reduce them in
+/// place to a run: equal keys summed, and fully retracted pairs dropped —
+/// sub() stages modular negatives, and a pair whose adds and subs cancel
+/// must not survive as a zero entry (for_each/view promise nonzero
+/// counts).
+void sort_reduce(Run& entries, Run& scratch) {
+  util::radix_sort_by_key(
+      entries, [](const Entry& e) { return e.first; }, scratch);
+  std::size_t w = 0;
+  for (std::size_t i = 0; i < entries.size();) {
+    const std::uint64_t key = entries[i].first;
+    std::uint64_t count = 0;
+    for (; i < entries.size() && entries[i].first == key; ++i) {
+      count += entries[i].second;
+    }
+    if (count != 0) entries[w++] = {key, count};
+  }
+  entries.resize(w);
+}
+
+/// A copy of `run` whose capacity is its size.
+Run exact_copy(const Run& run) { return Run(run.begin(), run.end()); }
+
 }  // namespace
 
 void RankPairAccumulator::add_sparse(topo::Rank src, topo::Rank dst,
@@ -97,24 +120,8 @@ void RankPairAccumulator::add_sparse(topo::Rank src, topo::Rank dst,
 
 void RankPairAccumulator::flush() const {
   if (staging_.empty()) return;
-  util::radix_sort_by_key(
-      staging_, [](const Entry& e) { return e.first; }, scratch_);
-  // Run-length reduce in place; drop fully retracted pairs — sub() stages
-  // modular negatives, and a pair whose adds and subs cancel must not
-  // survive as a zero entry (for_each/view promise nonzero counts).
-  std::size_t w = 0;
-  for (std::size_t i = 0; i < staging_.size();) {
-    const std::uint64_t key = staging_[i].first;
-    std::uint64_t count = 0;
-    for (; i < staging_.size() && staging_[i].first == key; ++i) {
-      count += staging_[i].second;
-    }
-    if (count != 0) staging_[w++] = {key, count};
-  }
-  if (w != 0) {
-    runs_.emplace_back(staging_.begin(),
-                       staging_.begin() + static_cast<std::ptrdiff_t>(w));
-  }
+  sort_reduce(staging_, scratch_);
+  if (!staging_.empty()) runs_.emplace_back(staging_.begin(), staging_.end());
   staging_.clear();
   // Merge runs of similar size as they appear (a binary counter), which
   // bounds a long-lived histogram to O(log) runs and O(pairs) entries.
@@ -138,6 +145,11 @@ void RankPairAccumulator::compact() const {
     });
     merge_runs(runs_[runs_.size() - 2], runs_.back());
     runs_.pop_back();
+  }
+  // Merges leave slack; trim it so the bytes a sealed histogram holds
+  // depend on its pairs alone, not on its merge history.
+  if (!runs_.empty() && runs_.front().capacity() != runs_.front().size()) {
+    runs_.front() = exact_copy(runs_.front());
   }
   Run().swap(staging_);
   Run().swap(scratch_);
@@ -181,6 +193,104 @@ RankPairAccumulator& RankPairAccumulator::operator+=(RankPairAccumulator&& o) {
   o.runs_.clear();
   if (runs_.size() > kMaxRuns) compact();
   return *this;
+}
+
+void RankPairAccumulator::append_source_groups(std::span<Run> lists,
+                                               bool ordered) {
+  if (is_dense_) {
+    for (Run& list : lists) {
+      for (const auto& [key, count] : list) dense_[key] += count;
+      Run().swap(list);
+    }
+    return;
+  }
+  if (!ordered) {
+    // Sources revisit: gather the groups and sort them into one run.
+    std::size_t total = 0;
+    for (const Run& list : lists) total += list.size();
+    if (total == 0) return;
+    Run all;
+    all.reserve(total);
+    for (Run& list : lists) {
+      all.insert(all.end(), list.begin(), list.end());
+      Run().swap(list);
+    }
+    Run scratch;
+    sort_reduce(all, scratch);
+    if (!all.empty()) runs_.push_back(exact_copy(all));
+    return;
+  }
+  // Each list is a sorted run, and a list's first source is at least the
+  // previous list's last. Equal sources at a seam are one group split in
+  // two; both halves are sorted by destination, so one linear merge
+  // joins them. skip[c] counts the entries of list c's head group that
+  // moved into an earlier list. A group can span several chunks, so the
+  // merge target is the last list that still holds entries.
+  const std::uint64_t p = p_;
+  std::vector<std::size_t> skip(lists.size(), 0);
+  std::size_t prev = lists.size();
+  for (std::size_t c = 0; c < lists.size(); ++c) {
+    Run& list = lists[c];
+    if (list.empty()) continue;
+    const std::uint64_t src = list.front().first / p;
+    if (prev != lists.size() && lists[prev].back().first / p == src) {
+      Run& into = lists[prev];
+      const auto group_end = [p, src](const Entry& e) {
+        return e.first / p == src;
+      };
+      const auto head_end = static_cast<std::size_t>(
+          std::partition_point(list.begin(), list.end(), group_end) -
+          list.begin());
+      const auto tail_begin = static_cast<std::size_t>(
+          std::partition_point(into.begin(), into.end(),
+                               [src, p](const Entry& e) {
+                                 return e.first / p < src;
+                               }) -
+          into.begin());
+      Run joined;
+      joined.reserve(into.size() - tail_begin + head_end);
+      std::size_t i = tail_begin, j = 0;
+      while (i < into.size() && j < head_end) {
+        if (into[i].first < list[j].first) {
+          joined.push_back(into[i++]);
+        } else if (list[j].first < into[i].first) {
+          joined.push_back(list[j++]);
+        } else {
+          const std::uint64_t count = into[i].second + list[j].second;
+          if (count != 0) joined.emplace_back(into[i].first, count);
+          ++i;
+          ++j;
+        }
+      }
+      joined.insert(joined.end(),
+                    into.begin() + static_cast<std::ptrdiff_t>(i), into.end());
+      joined.insert(joined.end(),
+                    list.begin() + static_cast<std::ptrdiff_t>(j),
+                    list.begin() + static_cast<std::ptrdiff_t>(head_end));
+      into.resize(tail_begin);
+      into.insert(into.end(), joined.begin(), joined.end());
+      if (head_end == list.size()) {
+        Run().swap(list);
+        continue;
+      }
+      skip[c] = head_end;
+    }
+    prev = c;
+  }
+  std::size_t total = 0;
+  for (std::size_t c = 0; c < lists.size(); ++c) {
+    total += lists[c].size() - skip[c];
+  }
+  if (total == 0) return;
+  Run out;
+  out.reserve(total);
+  for (std::size_t c = 0; c < lists.size(); ++c) {
+    out.insert(out.end(),
+               lists[c].begin() + static_cast<std::ptrdiff_t>(skip[c]),
+               lists[c].end());
+    Run().swap(lists[c]);
+  }
+  runs_.push_back(std::move(out));
 }
 
 CommTotals RankPairAccumulator::fold(const topo::DistanceTable& table) const {

@@ -11,16 +11,32 @@
 //
 // Storage adapts to p: a dense p² count array while p² fits the budget
 // (p <= 2048 by default), and sorted (key → count) runs beyond — sweeps
-// at paper scale (p = 65536) never allocate p² memory. Sparse events land
-// in a bounded unsorted staging buffer; a full buffer is radix-sorted on
-// its varying key bytes, equal keys summed and zero nets dropped, and the
-// result appended as one more run — never merged into the existing
-// aggregate. Runs of similar size merge as they appear, so a long-lived
-// histogram holds O(log) runs and O(pairs) memory. seal() merges what is
-// left into a single run once, as a cascade of linear two-way merges
-// (smallest first; a small run merges backwards into a large one in
-// place). Combining sparse histograms hands runs over instead of
-// re-adding pairs, so merging per-worker shards is a splice.
+// at paper scale (p = 65536) never allocate p² memory.
+//
+// Sparse histograms are filled one of two ways:
+//
+//   * Source-grouped (the FFI walk and the NFI owners scan,
+//     fmm/owner_sink.hpp). The walk visits particles so that each
+//     owner table's source rank never decreases; a source's events land
+//     in a scratch row and leave it as one dst-sorted group, so each
+//     walk chunk's output is already a sorted run.
+//     append_source_groups() concatenates the chunk runs into one
+//     exact-size run, merging only the source group a chunk seam splits —
+//     no staging, no sort, no run merges.
+//   * Staged (add()/sub(): DynamicAcd's deltas, the contiguous-partition
+//     nfi_histogram, operator+=, tests). Events land in a bounded
+//     unsorted staging buffer; a full buffer is radix-sorted on its
+//     varying key bytes, equal keys summed and zero nets dropped, and the
+//     result appended as one more run. Runs of similar size merge as they
+//     appear, so a long-lived histogram holds O(log) runs and O(pairs)
+//     memory; seal() merges what is left into one run (smallest first; a
+//     small run merges backwards into a large one in place). Combining
+//     sparse histograms hands runs over instead of re-adding pairs, so
+//     merging per-worker shards is a splice.
+//
+// Either way a sealed histogram is one run whose capacity equals its
+// size, so memory_bytes() depends on the pair multiset alone, not on
+// how many workers or merges built it.
 //
 // Beyond the fast path, the histogram itself is the observability
 // artifact for contention modeling: for_each() exposes the exact
@@ -45,6 +61,11 @@ namespace sfc::core {
 
 class RankPairAccumulator {
  public:
+  /// (src·p + dst, count); a run is sorted by key, keys unique, counts
+  /// nonzero.
+  using Entry = std::pair<std::uint64_t, std::uint64_t>;
+  using Run = std::vector<Entry>;
+
   /// Dense-mode budget: p² count entries at 8 bytes each (32 MiB).
   static constexpr std::size_t kDenseEntryBudget = std::size_t{1} << 22;
 
@@ -115,6 +136,17 @@ class RankPairAccumulator {
   RankPairAccumulator& operator+=(const RankPairAccumulator& o);
   RankPairAccumulator& operator+=(RankPairAccumulator&& o);
 
+  /// Add the output of a source-grouped walk (fmm/owner_sink.hpp): one
+  /// entry list per walk chunk, in chunk order, each a sequence of source
+  /// groups sorted by destination. `ordered` says the group sources never
+  /// decrease across the whole sequence, so each list is a sorted run and
+  /// neighbouring lists share at most the one source group a chunk seam
+  /// splits. A sparse histogram then takes the concatenation as a new run
+  /// (seam groups merged), copied once into an exact-size vector; an
+  /// unordered sequence is radix-sorted and reduced first. A dense
+  /// histogram adds the entries. Each list is freed as it is consumed.
+  void append_source_groups(std::span<Run> lists, bool ordered);
+
   /// Fold against a prebuilt hop table: Σ count(a,b) · table(a,b).
   /// Test/oracle path — production consumers hand view() to
   /// Topology::fold() and let the topology pick its kernel.
@@ -178,11 +210,6 @@ class RankPairAccumulator {
   friend std::optional<RankPairAccumulator> rank_pairs_deserialize(
       const std::uint8_t*, std::size_t, std::size_t&);
 
-  /// (src·p + dst, count); a run is sorted by key, keys unique, counts
-  /// nonzero.
-  using Entry = std::pair<std::uint64_t, std::uint64_t>;
-  using Run = std::vector<Entry>;
-
   /// Staging buffer cap before it is sorted into a run (1 MiB: the
   /// buffer and its sort scratch stay in cache, which measured faster
   /// than 16 MiB buffers despite the extra run merges).
@@ -196,8 +223,8 @@ class RankPairAccumulator {
   /// below are const because the pair *multiset* is unchanged — only its
   /// representation.
   void flush() const;
-  /// Merge every run (staging flushed first) into one and release the
-  /// staging and sort buffers.
+  /// Merge every run (staging flushed first) into one exact-size run and
+  /// release the staging and sort buffers.
   void compact() const;
   /// The single sorted run of a compacted sparse histogram.
   const Run& sealed_run() const;
@@ -319,65 +346,49 @@ class PairDeltas {
   std::size_t mask_ = 0;
 };
 
-/// Per-worker shard histograms for lock-free parallel accumulation.
+/// Per-worker shard histograms for lock-free parallel accumulation on
+/// the staged paths (the contiguous-partition nfi_histogram and
+/// DynamicAcd's NFI scans).
 ///
-/// The enumerate kernels fan out over cell/particle chunks; instead of
-/// building a fresh accumulator per chunk and merging under a mutex (a
-/// p²-sized zero + merge per chunk), each chunk records into the shard of
-/// the worker executing it, and the shards merge into the target exactly
-/// once after all fan-outs finish. In sparse mode that merge sorts each
-/// shard's partial last staging buffer into a run and moves the shard's
-/// runs into the target (full buffers were sorted on the worker that
-/// filled them); the runs themselves merge when the target is sealed. Counts commute, so
-/// the merged multiset — and in dense mode the byte-for-byte array — is
+/// The kernels fan out over particle chunks; instead of building a fresh
+/// accumulator per chunk and merging under a mutex (a p²-sized zero +
+/// merge per chunk), each chunk records into the shard of the worker
+/// executing it, and the shards merge into the target exactly once after
+/// the fan-out. In sparse mode that merge sorts each shard's partial last
+/// staging buffer into a run and moves the shard's runs into the target
+/// (full buffers were sorted on the worker that filled them); the runs
+/// themselves merge when the target is sealed. Counts commute, so the
+/// merged multiset — and in dense mode the byte-for-byte array — is
 /// independent of scheduling and chunk boundaries.
-///
-/// A walk that feeds several histograms at once (one per processor count
-/// of an ordering) gives each slot one shard per entry of `procs`.
 class RankPairShards {
  public:
-  /// One slot per pool worker plus one for the calling thread (the
-  /// serial fallback and below-cutoff ranges land there); each slot holds
-  /// one shard per processor count.
-  RankPairShards(std::span<const topo::Rank> procs, unsigned workers)
-      : width_(procs.size()) {
-    shards_.reserve((static_cast<std::size_t>(workers) + 1) * width_);
-    for (unsigned i = 0; i <= workers; ++i) {
-      for (const topo::Rank p : procs) shards_.emplace_back(p);
-    }
+  /// One shard per pool worker plus one for the calling thread (the
+  /// serial fallback and below-cutoff ranges land there).
+  RankPairShards(topo::Rank procs, unsigned workers) {
+    shards_.reserve(static_cast<std::size_t>(workers) + 1);
+    for (unsigned i = 0; i <= workers; ++i) shards_.emplace_back(procs);
   }
-  RankPairShards(topo::Rank procs, unsigned workers)
-      : RankPairShards(std::span<const topo::Rank>(&procs, 1), workers) {}
 
-  /// The shards of the slot owned by the executing thread: workers of
-  /// the pool the kernel fans out on get distinct slots; any other caller
-  /// (the coordinator, a foreign pool's worker running the serial
-  /// fallback) gets the last slot. Within one fan-out the executors are
-  /// either this pool's workers or the single calling thread, never
-  /// both, so no two threads share a slot concurrently.
-  std::span<RankPairAccumulator> locals() noexcept {
+  /// The shard owned by the executing thread: workers of the pool the
+  /// kernel fans out on get distinct shards; any other caller (the
+  /// coordinator, a foreign pool's worker running the serial fallback)
+  /// gets the last one. Within one fan-out the executors are either this
+  /// pool's workers or the single calling thread, never both, so no two
+  /// threads share a shard concurrently.
+  RankPairAccumulator& local() noexcept {
     const std::size_t idx = util::ThreadPool::current_worker_index();
-    const std::size_t last = shards_.size() / width_ - 1;
-    return std::span(shards_).subspan((idx < last ? idx : last) * width_,
-                                      width_);
+    const std::size_t last = shards_.size() - 1;
+    return shards_[idx < last ? idx : last];
   }
-  RankPairAccumulator& local() noexcept { return locals().front(); }
 
-  /// Move every slot's shard k into `accs[k]`, in fixed slot order; the
-  /// shards are left empty.
-  void merge_into(std::span<RankPairAccumulator> accs) {
-    assert(accs.size() == width_);
-    for (std::size_t i = 0; i < shards_.size(); ++i) {
-      accs[i % width_] += std::move(shards_[i]);
-    }
-  }
+  /// Move every shard into `acc`, in fixed shard order; the shards are
+  /// left empty.
   void merge_into(RankPairAccumulator& acc) {
-    merge_into(std::span<RankPairAccumulator>(&acc, 1));
+    for (RankPairAccumulator& shard : shards_) acc += std::move(shard);
   }
 
  private:
-  std::size_t width_;                       // shards per slot
-  std::vector<RankPairAccumulator> shards_;  // slot-major
+  std::vector<RankPairAccumulator> shards_;
 };
 
 }  // namespace sfc::core

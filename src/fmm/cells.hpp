@@ -8,6 +8,7 @@
 // without re-sorting.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -138,9 +139,10 @@ void for_each_interaction_keys(const Point<D>& cell, unsigned level,
     // Per dimension and parent offset in {-1,0,1}: bounds, spread key
     // component, and whether each child bit lands within Chebyshev
     // distance 1 of `cell` along that dimension.
-    bool in[D][3] = {};
-    std::uint64_t comp[D][3] = {};
-    bool adj[D][3][2] = {};
+    constexpr auto kDims = static_cast<std::size_t>(D);
+    bool in[kDims][3] = {};
+    std::uint64_t comp[kDims][3] = {};
+    bool adj[kDims][3][2] = {};
     for (int i = 0; i < D; ++i) {
       for (int o = 0; o < 3; ++o) {
         const std::int64_t v = static_cast<std::int64_t>(par[i]) + (o - 1);
@@ -154,7 +156,7 @@ void for_each_interaction_keys(const Point<D>& cell, unsigned level,
         }
       }
     }
-    int off[D];
+    int off[kDims];
     for (int i = 0; i < D; ++i) off[i] = 0;
     for (;;) {
       bool bounded = true;

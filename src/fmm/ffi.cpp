@@ -1,6 +1,9 @@
 #include "fmm/ffi.hpp"
 
 #include <algorithm>
+#include <array>
+#include <bit>
+#include <cassert>
 
 #include "fmm/cells.hpp"
 #include "fmm/owner_sink.hpp"
@@ -87,6 +90,9 @@ std::size_t CellTree<D>::total_cells() const noexcept {
 
 namespace {
 
+/// finest_of entry of a particle that is not its finest cell's lowest.
+constexpr std::uint32_t kNoCell = ~std::uint32_t{0};
+
 /// Interpolation hops for cells [lo, hi) of level `l` (l >= 1): each cell
 /// owner sends to its parent's owner. Reference path — one virtual
 /// distance() per edge.
@@ -132,133 +138,115 @@ core::CommTotals il_range(const CellTree<D>& tree, const Partition& part,
   return totals;
 }
 
-/// Record the (child owner, parent owner) interpolation events of cells
-/// [lo, hi) at level `l` into `sink` (fmm/owner_sink.hpp).
-template <int D, typename Sink>
-void interp_range_into(const CellTree<D>& tree, Sink sink, unsigned l,
-                       std::size_t lo, std::size_t hi) {
-  if (lo >= hi) return;
-  const auto& cells = tree.cells(l);
-  const auto& parents = tree.cells(l - 1);
-  // Cells are key-sorted and parent_key is a shift, so parent keys are
-  // non-decreasing across the range: one lookup seeds a cursor into the
-  // parent level and the rest of the range advances it in lockstep —
-  // no per-cell table lookup. (The parent of an occupied cell is always
-  // occupied, so the cursor always lands on a match.)
-  std::size_t j = static_cast<std::size_t>(
-      tree.find(l - 1, parent_key<D>(cells[lo].key)));
-  for (std::size_t i = lo; i < hi; ++i) {
-    const std::uint64_t pk = parent_key<D>(cells[i].key);
-    while (parents[j].key != pk) ++j;
-    sink.add(cells[i].min_particle, parents[j].min_particle);
+/// Interaction-list digits by position: kMemberDigits<D>[q][o] has bit d
+/// set when child d of the parent neighbor at offset o is in the
+/// interaction list of a cell whose own child digit is q. Along axis k
+/// the candidate sits 2·o_k + d_k − q_k cells from the cell, so it is a
+/// member exactly when some axis puts it more than one cell away; the
+/// zero offset (the cell's siblings) has no members. o encodes the
+/// offsets in base 3, axis 0 lowest, each digit o_k + 1.
+template <int D>
+constexpr auto make_member_digits() {
+  constexpr std::size_t kOffsets = D == 2 ? 9 : D == 3 ? 27 : 81;
+  std::array<std::array<std::uint32_t, kOffsets>, (1u << D)> table{};
+  for (std::uint32_t q = 0; q < (1u << D); ++q) {
+    for (std::size_t o = 0; o < kOffsets; ++o) {
+      for (std::uint32_t d = 0; d < (1u << D); ++d) {
+        bool member = false;
+        std::size_t rest = o;
+        for (int k = 0; k < D; ++k, rest /= 3) {
+          const int diff = 2 * (static_cast<int>(rest % 3) - 1) +
+                           static_cast<int>((d >> k) & 1u) -
+                           static_cast<int>((q >> k) & 1u);
+          member = member || diff < -1 || diff > 1;
+        }
+        if (member) table[q][o] |= 1u << d;
+      }
+    }
   }
+  return table;
 }
 
-/// Record the (source owner, cell owner) interaction-list events of cells
-/// [lo, hi) at level `l` into `sink`. The candidate cells stream straight
-/// from the offset odometer into the key lookup — no materialized
-/// interaction list, no per-cell allocation.
+template <int D>
+constexpr auto kMemberDigits = make_member_digits<D>();
+
+/// Record cell `key`'s interaction-list events at level `l` (l >= 2) into
+/// `sink`, whose source is the cell's owner: one event per occupied
+/// member, into the member's owner. The relation is symmetric — d is in
+/// c's list exactly when c is in d's (same level, parents at Chebyshev
+/// distance <= 1, cells at distance > 1) — so recording each pair from
+/// c's side yields the same multiset as recording (owner(d), owner(c))
+/// for every cell. Candidates come from the parent's neighbors: a
+/// neighbor that is unoccupied is one lookup in place of 2^D
+/// guaranteed-miss child lookups, and the members among an occupied
+/// neighbor's children come from kMemberDigits, so no candidate is
+/// tested for adjacency. Morton digit d's child of pn has key
+/// (key(pn) << D) | d.
 template <int D, typename Sink>
-void il_range_into(const CellTree<D>& tree, Sink sink, unsigned l,
-                   std::size_t lo, std::size_t hi) {
+void interaction_into(const CellTree<D>& tree, Sink& sink, unsigned l,
+                      std::uint64_t key) {
   const auto& cells = tree.cells(l);
   const std::int64_t side = 1ll << (l - 1);
-  // Child-digit decode: Morton digit d's child of pn sits at
-  // 2·pn + kChild[d], and its key is (key(pn) << D) | d — so the inner
-  // loop pays zero per-candidate interleaves.
-  Point<D> child_off[1u << D];
-  for (std::uint32_t d = 0; d < (1u << D); ++d) {
-    child_off[d] = morton_point<D>(d);
-  }
-  for (std::size_t i = lo; i < hi; ++i) {
-    const Point<D> c = morton_point<D>(cells[i].key);
-    const Point<D> par = parent_cell(c);
-    sink.to(cells[i].min_particle);
-    // Odometer over the parent's neighbors. Two prunes the reference
-    // path skips, neither of which changes the event multiset: the zero
-    // offset (the cell's own siblings, all Chebyshev-adjacent) and the
-    // children of *unoccupied* parent neighbors — one parent lookup in
-    // place of 2^D guaranteed-miss child lookups.
-    std::int64_t off[4];  // D <= 4 (static_assert in Point)
-    for (int k = 0; k < D; ++k) off[k] = -1;
-    for (;;) {
-      bool in = true;
-      bool zero = true;
-      Point<D> pn{};
-      for (int k = 0; k < D; ++k) {
-        const std::int64_t v = static_cast<std::int64_t>(par[k]) + off[k];
-        if (v < 0 || v >= side) {
-          in = false;
-          break;
-        }
-        if (off[k] != 0) zero = false;
-        pn[k] = static_cast<std::uint32_t>(v);
-      }
-      if (in && !zero) {
-        const std::uint64_t pn_key = cell_key(pn);
-        if (tree.find(l - 1, pn_key) >= 0) {
-          for (std::uint32_t d = 0; d < (1u << D); ++d) {
-            Point<D> child{};
-            for (int k = 0; k < D; ++k) {
-              child[k] = (pn[k] << 1) | child_off[d][k];
-            }
-            if (chebyshev(child, c) <= 1) continue;
-            const auto idx = tree.find(l, (pn_key << D) | d);
-            if (idx < 0) continue;  // unoccupied cells do not communicate
-            sink.from(cells[static_cast<std::size_t>(idx)].min_particle);
-          }
-        }
-      }
-      int k = 0;
-      while (k < D && off[k] == 1) off[k++] = -1;
-      if (k == D) break;
-      ++off[k];
+  const Point<D> par = parent_cell(morton_point<D>(key));
+  const auto& digits = kMemberDigits<D>[key & ((1u << D) - 1)];
+  std::int64_t off[4];  // D <= 4 (static_assert in Point)
+  for (int k = 0; k < D; ++k) off[k] = -1;
+  for (std::size_t o = 0;; ++o) {
+    std::uint32_t members = digits[o];
+    Point<D> pn{};
+    for (int k = 0; k < D && members != 0; ++k) {
+      const std::int64_t v = static_cast<std::int64_t>(par[k]) + off[k];
+      if (v < 0 || v >= side) members = 0;
+      pn[k] = static_cast<std::uint32_t>(v);
     }
+    if (members != 0) {
+      const std::uint64_t pn_key = cell_key(pn);
+      if (tree.find(l - 1, pn_key) >= 0) {
+        for (; members != 0; members &= members - 1) {
+          const auto d = static_cast<std::uint64_t>(std::countr_zero(members));
+          const auto idx = tree.find(l, (pn_key << D) | d);
+          if (idx < 0) continue;  // unoccupied cells do not communicate
+          sink.to(cells[static_cast<std::size_t>(idx)].min_particle);
+        }
+      }
+    }
+    int k = 0;
+    while (k < D && off[k] == 1) off[k++] = -1;
+    if (k == D) break;
+    ++off[k];
   }
 }
 
-/// Accumulate one communication family's histograms — one per owner
-/// table — over all levels [first_level, finest]. Serial path: every
-/// level goes straight into `accs`, one histogram per partition for the
-/// whole family, folded once by the caller (building and folding a fresh
-/// accumulator per chunk per level is what used to cancel the
-/// aggregation savings). Parallel path: per-worker shards written without
-/// synchronization — each chunk records into the shards of the worker
-/// executing it, across all levels — then merged into `accs` exactly
-/// once. Counts are integers and addition commutes, so the merged
-/// multisets are independent of chunking and scheduling order.
-template <int D, typename IntoFn>
-void histogram_levels(util::ThreadPool* pool, const CellTree<D>& tree,
-                      unsigned first_level, const detail::OwnerTables& owners,
-                      std::span<const topo::Rank> procs,
-                      std::span<core::RankPairAccumulator> accs, IntoFn into) {
+/// Record the FFI events of the cells visited at particle positions
+/// [lo, hi): particle j visits its finest cell when it is that cell's
+/// lowest particle, then each ancestor whose lowest particle is j. Every
+/// occupied cell is visited exactly once, by the particle that owns it,
+/// so the sources rise with j. A visited cell at level l >= 1 sends its
+/// interpolation event to its parent's owner; at l >= 2 it also records
+/// its interaction list.
+template <int D, typename Sinks>
+void walk_range(const CellTree<D>& tree,
+                const std::vector<std::uint32_t>& finest_of, Sinks& sinks,
+                std::size_t lo, std::size_t hi) {
+  auto interp = sinks[0];
+  auto inter = sinks[1];
   const unsigned finest = tree.finest_level();
-  if (pool == nullptr || pool->size() <= 1) {
-    owners.with(accs, [&](auto sink) {
-      for (unsigned l = first_level; l <= finest; ++l) {
-        into(sink, l, std::size_t{0}, tree.cells(l).size());
-      }
-    });
-    return;
-  }
-  core::RankPairShards shards(procs, pool->size());
-  for (unsigned l = first_level; l <= finest; ++l) {
-    const auto chunk = [&, l](std::size_t lo, std::size_t hi) {
-      owners.with(shards.locals(),
-                  [&](auto sink) { into(sink, l, lo, hi); });
-    };
-    const std::size_t n = tree.cells(l).size();
-    if (n < 4096) {
-      // Below the fan-out cutoff the calling thread fills its own shards
-      // while no chunks are in flight.
-      chunk(0, n);
-      continue;
+  for (std::size_t j = lo; j < hi; ++j) {
+    std::uint32_t i = finest_of[j];
+    if (i == kNoCell) continue;
+    interp.source(j);
+    inter.source(j);
+    for (unsigned l = finest; l > 0; --l) {
+      const std::uint64_t key = tree.cells(l)[i].key;
+      const auto parent = static_cast<std::uint32_t>(
+          tree.find(l - 1, parent_key<D>(key)));
+      // The parent of an occupied cell is always occupied.
+      const std::uint32_t parent_min = tree.cells(l - 1)[parent].min_particle;
+      interp.to(parent_min);
+      if (l >= 2) interaction_into<D>(tree, inter, l, key);
+      if (parent_min != j) break;
+      i = parent;
     }
-    util::parallel_for_chunks(*pool, 0, n, util::kAutoGrain, chunk);
-  }
-  {
-    const obs::Span span("ffi/merge_shards");
-    shards.merge_into(accs);
   }
 }
 
@@ -289,32 +277,31 @@ std::vector<FfiHistograms> ffi_histograms(const CellTree<D>& tree,
                                           std::span<const Partition> parts,
                                           util::ThreadPool* pool) {
   if (parts.empty()) return {};
+  const std::size_t n = parts.front().particles();
   std::vector<std::vector<topo::Rank>> tables;
-  std::vector<topo::Rank> procs;
   std::vector<core::RankPairAccumulator> interpolation;
   std::vector<core::RankPairAccumulator> interaction;
   for (const Partition& part : parts) {
+    assert(part.particles() == n);
     tables.push_back(part.owner_table());
-    procs.push_back(part.processors());
     interpolation.emplace_back(part.processors());
     interaction.emplace_back(part.processors());
   }
-  const detail::OwnerTables owners(tables);
   {
-    const obs::Span span("ffi/interpolation");
-    histogram_levels<D>(pool, tree, 1, owners, procs, interpolation,
-                        [&](auto sink, unsigned l, std::size_t lo,
-                            std::size_t hi) {
-                          interp_range_into<D>(tree, sink, l, lo, hi);
-                        });
-  }
-  {
-    const obs::Span span("ffi/interaction");
-    histogram_levels<D>(pool, tree, 2, owners, procs, interaction,
-                        [&](auto sink, unsigned l, std::size_t lo,
-                            std::size_t hi) {
-                          il_range_into<D>(tree, sink, l, lo, hi);
-                        });
+    const obs::Span span("ffi/walk");
+    // finest_of[j]: index of the finest cell whose lowest particle is j.
+    std::vector<std::uint32_t> finest_of(n, kNoCell);
+    const auto& finest = tree.cells(tree.finest_level());
+    for (std::size_t i = 0; i < finest.size(); ++i) {
+      finest_of[finest[i].min_particle] = static_cast<std::uint32_t>(i);
+    }
+    const detail::OwnerTables owners(tables);
+    owners.walk<2>(pool, nullptr, {std::span(interpolation),
+                                   std::span(interaction)},
+                   "ffi/stitch", [&](auto& sinks, std::size_t lo,
+                                     std::size_t hi) {
+                     walk_range<D>(tree, finest_of, sinks, lo, hi);
+                   });
   }
   std::vector<FfiHistograms> out;
   out.reserve(parts.size());

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstdint>
+#include <span>
 #include <utility>
 
 #include "core/rank_pair.hpp"
@@ -213,19 +215,27 @@ void nfi_range_into(const std::vector<Point<D>>& particles,
 
 /// nfi_range_into for particles in arbitrary array order: the source rank
 /// comes from the owner tables per particle instead of the contiguous
-/// partition runs, so there is no run to hoist — but the emitted event
-/// multiset is identical for the identical particle/owner assignment
-/// (every event is (owner of x, owner of y) over the same spatial pairs,
-/// and the half-window orientation is spatial, not positional). Events go
-/// to `sink` (fmm/owner_sink.hpp), which records them for every owner
-/// table of the walk.
+/// partition runs, but the emitted event multiset is identical for the
+/// identical particle/owner assignment (every event is (owner of x, owner
+/// of y) over the same spatial pairs, and the half-window orientation is
+/// spatial, not positional). Visits the particles at positions [lo, hi)
+/// of `order` (nullptr: array order) — each window scan stands alone, so
+/// any visit order gives the same multiset. Events go to `sink`
+/// (fmm/owner_sink.hpp), which records them for every owner table of the
+/// walk.
 template <int D, typename Sink>
 void nfi_range_into_owners(const std::vector<Point<D>>& particles,
                            const OccupancyGrid<D>& grid, Sink sink,
-                           unsigned radius, NeighborNorm norm, std::size_t lo,
-                           std::size_t hi) {
+                           const std::uint32_t* order, unsigned radius,
+                           NeighborNorm norm, std::size_t lo, std::size_t hi) {
   const std::int32_t* cells = grid.dense_cells();
   const std::int64_t r = radius;
+  const auto at = [order](std::size_t pos) -> std::size_t {
+    return order == nullptr ? pos : order[pos];
+  };
+  const auto push = [&sink](auto j, std::uint64_t count) {
+    sink.to(static_cast<std::size_t>(j), count);
+  };
 
   if constexpr (D == 2) {
     if (cells != nullptr) {
@@ -239,29 +249,61 @@ void nfi_range_into_owners(const std::vector<Point<D>>& particles,
           scratch.resize(static_cast<std::size_t>(2 * r * r + 2 * r + 7));
         }
       }
-      for (std::size_t i = lo; i < hi; ++i) {
+      for (std::size_t pos = lo; pos < hi; ++pos) {
+        const std::size_t i = at(pos);
         const Point<2>& p = particles[i];
         // Half-window scan: each neighbor stands for both directed
         // events, recorded as one count-2 entry on the source's row.
-        sink.scan_from(i, 2, [&](auto&& push) {
-          if (collect != nullptr) {
-            const std::size_t m = collect(
-                cells, level, p[0], p[1], static_cast<std::uint32_t>(r),
-                norm == NeighborNorm::kChebyshev, scratch.data());
-            for (std::size_t k = 0; k < m; ++k) push(scratch[k]);
-          } else {
-            halfwindow_dense2(cells, level, p, r, norm, push);
-          }
-        });
+        sink.source(i);
+        if (collect != nullptr) {
+          const std::size_t m = collect(
+              cells, level, p[0], p[1], static_cast<std::uint32_t>(r),
+              norm == NeighborNorm::kChebyshev, scratch.data());
+          for (std::size_t k = 0; k < m; ++k) push(scratch[k], 2);
+        } else {
+          halfwindow_dense2(cells, level, p, r, norm,
+                            [&](std::int32_t j) { push(j, 2); });
+        }
       }
       return;
     }
   }
-  for (std::size_t i = lo; i < hi; ++i) {
-    sink.scan_from(i, 1, [&](auto&& push) {
-      visit_neighbors<D>(grid, cells, particles[i], r, norm, push);
-    });
+  for (std::size_t pos = lo; pos < hi; ++pos) {
+    const std::size_t i = at(pos);
+    sink.source(i);
+    visit_neighbors<D>(grid, cells, particles[i], r, norm,
+                       [&](std::size_t j) { push(j, 1); });
   }
+}
+
+/// A visit order along which every owner table is nondecreasing when the
+/// tables are contiguous partitions of one particle ordering (the sweep's
+/// processor counts of one curve): the tables' rank tuples then form a
+/// chain, so sorting by them lexicographically — one stable counting sort
+/// per table, last table first — sorts every table at once. Empty when
+/// array order already is one.
+std::vector<std::uint32_t> source_order(
+    std::span<const std::vector<topo::Rank>> owners,
+    std::span<const topo::Rank> procs) {
+  const std::size_t n = owners.front().size();
+  const bool sorted = std::all_of(
+      owners.begin(), owners.end(), [](const std::vector<topo::Rank>& own) {
+        return std::is_sorted(own.begin(), own.end());
+      });
+  if (sorted) return {};
+  std::vector<std::uint32_t> order(n);
+  std::vector<std::uint32_t> next(n);
+  for (std::size_t i = 0; i < n; ++i) order[i] = static_cast<std::uint32_t>(i);
+  std::vector<std::size_t> start;
+  for (std::size_t m = owners.size(); m-- > 0;) {
+    const std::vector<topo::Rank>& own = owners[m];
+    start.assign(std::size_t{procs[m]} + 1, 0);
+    for (const topo::Rank r : own) ++start[std::size_t{r} + 1];
+    for (std::size_t r = 1; r < start.size(); ++r) start[r] += start[r - 1];
+    for (const std::uint32_t i : order) next[start[own[i]]++] = i;
+    order.swap(next);
+  }
+  return order;
 }
 
 /// Aggregated path for particles [lo, hi): populate a (src, dst) → count
@@ -342,23 +384,14 @@ std::vector<core::RankPairAccumulator> nfi_histogram_owners(
   accs.reserve(procs.size());
   for (const topo::Rank p : procs) accs.emplace_back(p);
   if (particles.empty() || accs.empty()) return accs;
+  const std::vector<std::uint32_t> order = source_order(owners, procs);
+  const std::uint32_t* visit = order.empty() ? nullptr : order.data();
   const detail::OwnerTables tables(owners);
-  const auto chunk = [&](std::span<core::RankPairAccumulator> into,
-                         std::size_t lo, std::size_t hi) {
-    tables.with(into, [&](auto sink) {
-      nfi_range_into_owners<D>(particles, grid, sink, radius, norm, lo, hi);
-    });
-  };
-  if (pool == nullptr || pool->size() <= 1) {
-    chunk(accs, 0, particles.size());
-    return accs;
-  }
-  core::RankPairShards shards(procs, pool->size());
-  util::parallel_for_chunks(*pool, 0, particles.size(), util::kAutoGrain,
-                            [&](std::size_t lo, std::size_t hi) {
-                              chunk(shards.locals(), lo, hi);
-                            });
-  shards.merge_into(accs);
+  tables.walk<1>(pool, visit, {std::span(accs)}, "nfi/stitch",
+                 [&](auto& sinks, std::size_t lo, std::size_t hi) {
+                   nfi_range_into_owners<D>(particles, grid, sinks[0], visit,
+                                            radius, norm, lo, hi);
+                 });
   return accs;
 }
 

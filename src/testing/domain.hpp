@@ -226,21 +226,31 @@ struct Printer<Point<D>> {
 template <typename T>
 struct Printer<std::vector<T>> {
   static std::string print(const std::vector<T>& v) {
-    std::string s = "[" + std::to_string(v.size()) + " elems:";
+    // Appends only: gcc 12's -Wrestrict misfires on `"..." + string&&`
+    // once this is inlined into an optimized build.
+    std::string s = "[";
+    s += std::to_string(v.size());
+    s += " elems:";
     const std::size_t shown = v.size() < 16 ? v.size() : 16;
     for (std::size_t i = 0; i < shown; ++i) {
-      s += " " + Printer<T>::print(v[i]);
+      s += ' ';
+      s += Printer<T>::print(v[i]);
     }
     if (shown < v.size()) s += " ...";
-    return s + "]";
+    s += ']';
+    return s;
   }
 };
 
 template <typename A, typename B>
 struct Printer<std::pair<A, B>> {
   static std::string print(const std::pair<A, B>& v) {
-    return "(" + Printer<A>::print(v.first) + ", " +
-           Printer<B>::print(v.second) + ")";
+    std::string s = "(";  // appends only: see Printer<std::vector<T>>
+    s += Printer<A>::print(v.first);
+    s += ", ";
+    s += Printer<B>::print(v.second);
+    s += ')';
+    return s;
   }
 };
 
@@ -268,9 +278,14 @@ struct Printer<topo::TopologyKind> {
 template <>
 struct Printer<TopoCase> {
   static std::string print(const TopoCase& t) {
-    return "{" + std::string(topo::topology_name(t.kind)) +
-           ", p=" + std::to_string(t.procs) + ", ranking=" +
-           std::string(curve_name(t.ranking)) + "}";
+    std::string s = "{";  // appends only: see Printer<std::vector<T>>
+    s += topo::topology_name(t.kind);
+    s += ", p=";
+    s += std::to_string(t.procs);
+    s += ", ranking=";
+    s += curve_name(t.ranking);
+    s += '}';
+    return s;
   }
 };
 

@@ -20,10 +20,8 @@
 #pragma once
 
 #include <array>
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <mutex>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -121,26 +119,24 @@ void radix_passes_serial(T*& src, T*& dst, std::size_t n,
 }
 
 /// Run `body(chunk, lo, hi)` for `chunks` fixed-size slices of [0, n) on
-/// the pool and block until all complete. A bespoke latch instead of
+/// the pool and wait until all complete, running queued tasks meanwhile
+/// (so a sort called from the pool's own tasks cannot strand its chunks
+/// behind workers that are all waiting). Fixed slices instead of
 /// parallel_for_chunks because the counting and scatter phases must agree
 /// on the chunk -> count-row mapping.
 template <typename Body>
 void for_fixed_chunks(ThreadPool& pool, std::size_t n, std::size_t chunks,
                       std::size_t chunk_size, const Body& body) {
-  std::mutex m;
-  std::condition_variable cv;
-  std::size_t done = 0;
+  Latch latch(chunks);
   for (std::size_t c = 0; c < chunks; ++c) {
     const std::size_t lo = c * chunk_size;
     const std::size_t hi = lo + chunk_size < n ? lo + chunk_size : n;
     pool.submit([&, c, lo, hi] {
       body(c, lo, hi);
-      std::lock_guard<std::mutex> lk(m);
-      if (++done == chunks) cv.notify_one();
+      latch.count_down();
     });
   }
-  std::unique_lock<std::mutex> lk(m);
-  cv.wait(lk, [&] { return done == chunks; });
+  latch.wait_and_help(can_help(pool) ? &pool : nullptr);
 }
 
 template <typename T, typename KeyFn>
@@ -185,9 +181,9 @@ void radix_count_scatter_threaded(ThreadPool& pool, const T* src, T* dst,
 /// linear count + scatter per *varying* key byte. When `pool` has more
 /// than one worker and the input is large enough, counting and
 /// scattering fan out over fixed per-chunk slices; the result is
-/// bit-identical to the serial path regardless of scheduling. Do not
-/// pass a pool from inside one of its own tasks with a single spare
-/// worker — like parallel_for_chunks, the call blocks on pool progress.
+/// bit-identical to the serial path regardless of scheduling. Like
+/// parallel_for_chunks, the call may come from one of the pool's own
+/// tasks: its waits run queued tasks instead of sleeping.
 ///
 /// The scatters ping-pong between `items` and `scratch`, which is resized
 /// to items.size() (the two vectors may trade storage); a caller sorting

@@ -43,7 +43,6 @@ constexpr Kernels kAvx2Kernels{
     &avx2::hilbert2_batch, &avx2::moore2_batch,
     &avx2::key16_or_and,  &avx2::nfi_halfwindow2,
 };
-#endif
 
 /// SFCACD_SIMD environment override: "off", "scalar", or "0" force the
 /// portable path; anything else (including unset) keeps auto-detection.
@@ -53,6 +52,7 @@ bool env_forces_scalar() noexcept {
   return std::strcmp(v, "off") == 0 || std::strcmp(v, "scalar") == 0 ||
          std::strcmp(v, "0") == 0;
 }
+#endif
 
 Isa detect_isa() noexcept {
 #if defined(SFCACD_SIMD_X86)

@@ -5,6 +5,8 @@
 #include <stdexcept>
 #include <utility>
 
+#include "fmm/cells.hpp"
+
 namespace sfc::oracle {
 namespace {
 
@@ -144,6 +146,35 @@ fmm::FfiTotals ffi_definitional(const std::vector<Point<D>>& sorted,
   return totals;
 }
 
+template <int D>
+fmm::FfiHistograms ffi_histograms_staged(const fmm::CellTree<D>& tree,
+                                         const fmm::Partition& part) {
+  fmm::FfiHistograms hist(core::RankPairAccumulator(part.processors(), 0),
+                          core::RankPairAccumulator(part.processors(), 0));
+  std::vector<Point<D>> members;
+  for (unsigned l = 1; l <= tree.finest_level(); ++l) {
+    const auto& cells = tree.cells(l);
+    const auto& parents = tree.cells(l - 1);
+    for (const auto& cell : cells) {
+      const topo::Rank owner = part.proc_of(cell.min_particle);
+      const std::int64_t pi = tree.find(l - 1, fmm::parent_key<D>(cell.key));
+      if (pi < 0) throw std::logic_error("occupied cell without a parent");
+      hist.interpolation.add(
+          owner,
+          part.proc_of(parents[static_cast<std::size_t>(pi)].min_particle));
+      fmm::interaction_list(morton_point<D>(cell.key), l, members);
+      for (const Point<D>& member : members) {
+        const std::int64_t mi = tree.find(l, fmm::cell_key(member));
+        if (mi < 0) continue;  // unoccupied cells do not communicate
+        hist.interaction.add(
+            part.proc_of(cells[static_cast<std::size_t>(mi)].min_particle),
+            owner);
+      }
+    }
+  }
+  return hist;
+}
+
 topo::GraphTopology oracle_graph(const pbt::TopoCase& spec) {
   switch (spec.kind) {
     case topo::TopologyKind::kBus:
@@ -201,6 +232,10 @@ template fmm::FfiTotals ffi_definitional<2>(const std::vector<Point<2>>&,
 template fmm::FfiTotals ffi_definitional<3>(const std::vector<Point<3>>&,
                                             unsigned, const fmm::Partition&,
                                             const topo::Topology&);
+template fmm::FfiHistograms ffi_histograms_staged<2>(const fmm::CellTree<2>&,
+                                                     const fmm::Partition&);
+template fmm::FfiHistograms ffi_histograms_staged<3>(const fmm::CellTree<3>&,
+                                                     const fmm::Partition&);
 template FrozenTotals frozen_totals<2>(const std::vector<Point<2>>&, unsigned,
                                        const fmm::Partition&,
                                        const topo::Topology&, unsigned,

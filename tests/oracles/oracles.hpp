@@ -46,6 +46,19 @@ fmm::FfiTotals ffi_definitional(const std::vector<Point<D>>& sorted,
                                 unsigned level, const fmm::Partition& part,
                                 const topo::Topology& net);
 
+/// Reference FFI histograms of `tree` under `part`, built without the
+/// production walk: cells level by level in key order, each parent found
+/// by key lookup, each interaction list materialized with
+/// fmm::interaction_list, and every event add()-ed into staged sparse
+/// accumulators (dense_budget = 0) — (owner(cell), owner(parent)) for
+/// interpolation and, from the receiving side, (owner(member),
+/// owner(cell)) for interaction lists. ffi_histograms records the
+/// latter from the visited cell's side, so agreement also checks that
+/// the interaction-list relation is symmetric.
+template <int D>
+fmm::FfiHistograms ffi_histograms_staged(const fmm::CellTree<D>& tree,
+                                         const fmm::Partition& part);
+
 /// Explicit-graph twin of a closed-form topology case: rank r occupies
 /// the same physical position as in `make_topology`, so every BFS hop
 /// distance must equal the closed form exactly.
@@ -84,6 +97,10 @@ extern template fmm::FfiTotals ffi_definitional<2>(
 extern template fmm::FfiTotals ffi_definitional<3>(
     const std::vector<Point<3>>&, unsigned, const fmm::Partition&,
     const topo::Topology&);
+extern template fmm::FfiHistograms ffi_histograms_staged<2>(
+    const fmm::CellTree<2>&, const fmm::Partition&);
+extern template fmm::FfiHistograms ffi_histograms_staged<3>(
+    const fmm::CellTree<3>&, const fmm::Partition&);
 extern template FrozenTotals frozen_totals<2>(const std::vector<Point<2>>&,
                                               unsigned, const fmm::Partition&,
                                               const topo::Topology&, unsigned,

@@ -362,6 +362,23 @@ TEST(BatchDiff, ThreadedRadixMatchesSerialAboveCutoff) {
     std::vector<util::KeyIndex> threaded = pairs_of(keys);
     util::radix_sort_pairs(threaded, &pool);
     EXPECT_TRUE(same_permutation(serial, threaded)) << workers << " workers";
+
+    // Every worker sorting at once from inside the pool (the sweep sorts
+    // several samples' canonical copies this way): no worker is left to
+    // run the chunks unless the waits help.
+    std::vector<std::vector<util::KeyIndex>> nested(workers, pairs_of(keys));
+    util::Latch done(workers);
+    for (auto& items : nested) {
+      pool.submit([&pool, &items, &done] {
+        util::radix_sort_pairs(items, &pool);
+        done.count_down();
+      });
+    }
+    done.wait();
+    for (const auto& items : nested) {
+      EXPECT_TRUE(same_permutation(serial, items))
+          << workers << " workers, nested";
+    }
   }
 }
 

@@ -237,8 +237,9 @@ Gen<DynCase> dyn_case(topo::Rank max_procs) {
                {std::size_t{1}, c.batches.size() / 2, c.batches.size() - 1}) {
             if (keep == 0 || keep >= c.batches.size()) continue;
             DynCase smaller = c;
-            smaller.batches.assign(c.batches.begin(),
-                                   c.batches.begin() + keep);
+            smaller.batches.assign(
+                c.batches.begin(),
+                c.batches.begin() + static_cast<std::ptrdiff_t>(keep));
             out.push_back(std::move(smaller));
           }
         }

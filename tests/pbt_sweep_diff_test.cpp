@@ -304,26 +304,36 @@ struct TempStoreDir {
   std::string path;
 };
 
-/// Per-stage hits and builds only: unlike same_sweep_stats, built_bytes
-/// is left out, because a sparse histogram's sealed run keeps the
-/// capacity of its merge history, which depends on how many shards fed
-/// it.
-bool same_sweep_counts(const core::SweepStats& a, const core::SweepStats& b) {
-  for (unsigned i = 0; i < core::kSweepStageCount; ++i) {
-    if (a.stages[i].hits != b.stages[i].hits ||
-        a.stages[i].misses != b.stages[i].misses) {
-      return false;
-    }
-  }
-  return true;
-}
-
 TEST(SweepDiff, SeveralProcessorCountsShareOneWalkExactly) {
   // Each ordering's histograms for every p come from one shared walk.
   // Whatever the set of p — and whichever of them a pre-seeded store
   // already answers, so that only the rest join the walk — the cells
   // must match the from-scratch oracle bit for bit, and the counters
-  // must not depend on the thread count.
+  // (built bytes included) must not depend on the thread count.
+  //
+  // The random studies are too small for a sparse histogram to fill
+  // more than one walk chunk, so one fixed study first: p = 4096 is past
+  // the dense budget, and its sealed histograms must hold the same bytes
+  // whether one thread or four built them.
+  {
+    core::Study s;
+    s.name = "sparse-bytes";
+    s.particles = 20000;
+    s.level = 8;
+    s.seed = 5;
+    s.distributions = {dist::DistKind::kUniform};
+    s.particle_curves = {CurveKind::kHilbert};
+    s.topologies = {topo::TopologyKind::kTorus};
+    s.proc_counts = {64, 4096};
+    core::SweepOptions threaded;
+    threaded.pool = &shared_pool();
+    const core::StudyResult serial = core::run_study(s, core::SweepOptions{});
+    const core::StudyResult t = core::run_study(s, threaded);
+    EXPECT_EQ(expect_same_cells(serial, t, "sparse p: threaded vs serial"),
+              std::nullopt);
+    EXPECT_EQ(t.sweep.built_bytes, serial.sweep.built_bytes);
+    EXPECT_TRUE(same_sweep_stats(serial.sweep, t.sweep));
+  }
   SFCACD_PBT_CHECK_CFG(
       multi_procs_study_gen(), CheckConfig{}.scaled(0.03),
       [](const core::Study& s) -> std::optional<std::string> {
@@ -341,7 +351,7 @@ TEST(SweepDiff, SeveralProcessorCountsShareOneWalkExactly) {
         if (auto err = expect_same_cells(base, t, "no-reuse vs threaded")) {
           return err;
         }
-        if (!same_sweep_counts(serial.sweep, t.sweep)) {
+        if (!same_sweep_stats(serial.sweep, t.sweep)) {
           return std::string("threaded sweep counters differ from serial");
         }
 
@@ -390,7 +400,7 @@ TEST(SweepDiff, SeveralProcessorCountsShareOneWalkExactly) {
           }
           if (!serial_stats) {
             serial_stats = w.sweep;
-          } else if (!same_sweep_counts(*serial_stats, w.sweep)) {
+          } else if (!same_sweep_stats(*serial_stats, w.sweep)) {
             return std::string(
                 "pre-seeded store run: threaded counters differ from serial");
           }

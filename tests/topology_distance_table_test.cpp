@@ -468,6 +468,73 @@ TEST(RankPairRuns, ShardFanOutMatchesDense) {
   expect_same_multiset(merged, "4-worker shards");
 }
 
+TEST(RankPairRuns, SealedRunHoldsExactlyItsPairs) {
+  // The staged path's merges leave slack; seal() trims it, so the bytes a
+  // histogram reports depend on its pairs alone.
+  core::RankPairAccumulator sparse(kRunsProcs);
+  apply_range(sparse, 0, run_ops().size());
+  sparse.seal();
+  std::size_t pairs = 0;
+  sparse.for_each([&pairs](topo::Rank, topo::Rank, std::uint64_t) { ++pairs; });
+  EXPECT_EQ(sparse.memory_bytes(), pairs * 2 * sizeof(std::uint64_t));
+}
+
+using PairRun = core::RankPairAccumulator::Run;
+
+/// Source-grouped chunk lists over p = 10 (key = src·10 + dst): source 3
+/// spans four chunks (one of them holding only source 3), one chunk is
+/// empty, and source 6 splits once more.
+std::vector<PairRun> seamed_lists() {
+  return {{{12, 1}, {15, 2}, {30, 1}, {34, 1}},
+          {{34, 2}, {37, 1}},
+          {{31, 1}},
+          {},
+          {{30, 4}, {39, 1}, {66, 3}},
+          {{62, 1}, {66, 1}}};
+}
+
+PairList reference_pairs(const std::vector<PairRun>& lists) {
+  core::RankPairAccumulator dense(10);
+  for (const PairRun& list : lists) {
+    for (const auto& [key, count] : list) {
+      dense.add(static_cast<topo::Rank>(key / 10),
+                static_cast<topo::Rank>(key % 10), count);
+    }
+  }
+  return pairs_of(dense);
+}
+
+TEST(RankPairRuns, SourceGroupsJoinAcrossChunkSeams) {
+  const PairList expect = reference_pairs(seamed_lists());
+  {
+    std::vector<PairRun> lists = seamed_lists();
+    core::RankPairAccumulator sparse(10, 0);
+    sparse.append_source_groups(lists, true);
+    EXPECT_EQ(pairs_of(sparse), expect);
+    EXPECT_EQ(sparse.memory_bytes(), expect.size() * 2 * sizeof(std::uint64_t));
+    for (const PairRun& list : lists) EXPECT_EQ(list.capacity(), 0u);
+  }
+  {
+    std::vector<PairRun> lists = seamed_lists();
+    core::RankPairAccumulator dense(10);
+    dense.append_source_groups(lists, true);
+    EXPECT_EQ(pairs_of(dense), expect);
+  }
+}
+
+TEST(RankPairRuns, UnorderedSourceGroupsAreSortedAndReduced) {
+  // Sources revisit (6 before 3, 3 twice): the groups are sorted and
+  // equal keys summed.
+  std::vector<PairRun> lists = {{{62, 1}, {66, 2}, {30, 1}},
+                            {{66, 1}, {12, 5}},
+                            {{30, 2}, {31, 1}}};
+  const PairList expect = reference_pairs(lists);
+  core::RankPairAccumulator sparse(10, 0);
+  sparse.append_source_groups(lists, false);
+  EXPECT_EQ(pairs_of(sparse), expect);
+  EXPECT_EQ(sparse.memory_bytes(), expect.size() * 2 * sizeof(std::uint64_t));
+}
+
 // ---------------------------------------------------------------------------
 // Codec: a record is a sealed run, so keys must strictly increase and
 // counts be nonzero; anything else is malformed (nullopt).
